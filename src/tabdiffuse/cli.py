@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .baselines import BASELINE_KINDS, BaselineError, baseline_impute
 from .bench import MaskSpec, downstream_eval, ensemble_eval, rank_table, summarize
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
-    CsvFormatError,
     MinMaxScaler,
     gen_mar_mask,
     gen_mcar_mask,
@@ -50,6 +49,9 @@ _MASK_STREAM = 1  # substream indices of the run seed
 _SAMPLE_STREAM = 2
 
 TAU_SWEEP = (10, 25, 50, 100, 250, 500)
+
+# where a run writes does not change what it writes, so these stay out of the stamp
+_UNSTAMPED = ("command", "config", "out", "out_dir")
 
 
 class UsageError(ValueError):
@@ -121,90 +123,140 @@ def text_table(col_names: list[str], rows: list[list[str]]) -> str:
 # -- shared argument handling ------------------------------------------------------
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       command: str) -> None:
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a UsageError, so main() returns EXIT_USAGE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+class _Repeat(argparse.Action):
+    """action="append", except that the first use on the command line
+    replaces a list set from the config file instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(","))
+
+
+def _token_separator(action: argparse.Action) -> str | None:
+    """How the values of an option given as several tokens are joined in
+    config text; None for an option that takes one token."""
+    if action.nargs == "+":
+        return " "
+    if isinstance(action, _Repeat):
+        return ";"
+    return None
+
+
+def _config_value(action: argparse.Action, text: str):
+    """One config-file value, parsed with the type and choices of its flag."""
+    if action.nargs == 0:  # an on/off flag
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return action.const if text.lower() == "true" else action.default
+    if not text and action.default is None:
+        return None
+    sep = _token_separator(action)
+    values = [p.strip() for p in text.split(sep) if p.strip()] if sep else [text]
+    if action.type is not None:
+        values = [action.type(v) for v in values]
+    for v in values:
+        if action.choices is not None and v not in action.choices:
+            raise ValueError(f"invalid choice {v!r} (choose from {', '.join(action.choices)})")
+    return values if sep else values[0]
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Make the [command] section of the config file the command's defaults,
+    so flags given on the command line win when the arguments are parsed again."""
+    path = _existing(Path(args.config), "config file")
     sections = parse_config(path.read_text(encoding="utf-8"))
     unknown_sections = set(sections) - set(COMMANDS)
     if unknown_sections:
         raise UsageError(f"unknown config section(s): {sorted(unknown_sections)}")
-    overrides = sections.get(command, {})
-    known = set(vars(args))
-    sub = parser.command_parsers[command]
-    for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise UsageError(f"unknown config key [{command}] {key}")
-        default = sub.get_default(dest)
-        if getattr(args, dest) == default:  # flags given on the CLI win
-            setattr(args, dest, value)
+    sub = parser.command_parsers[args.command]
+    flags = {opt[2:]: a for a in sub._actions for opt in a.option_strings
+             if opt.startswith("--") and a.dest in vars(args)}
+    defaults = {}
+    for key, text in sections.get(args.command, {}).items():
+        action = flags.get(key.replace("_", "-"))
+        if action is None:
+            raise UsageError(f"unknown config key [{args.command}] {key}")
+        try:
+            defaults[action.dest] = _config_value(action, text)
+        except ValueError as err:
+            raise UsageError(f"config [{args.command}] {key}: {err}") from None
+    sub.set_defaults(**defaults)
 
 
-def _int(v) -> int:
-    return int(v)
+def resolved_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
+    """The command's [section] text: every option except the config file and
+    the output location, with unset options written empty."""
+    actions = {a.dest: a for a in parser.command_parsers[args.command]._actions}
+    values = {}
+    for dest, value in vars(args).items():
+        if dest in _UNSTAMPED:
+            continue
+        if value is None:
+            value = ""
+        elif isinstance(value, (list, tuple)):  # a comma-list type when one token
+            value = (_token_separator(actions[dest]) or ",").join(map(str, value))
+        values[dest] = value
+    return format_config(args.command, values)
 
 
-def _float(v) -> float:
-    return float(v)
-
-
-def _opt_int(v):
-    return None if v in (None, "", "none") else int(v)
+def _existing(path: Path, what: str) -> Path:
+    if not path.exists():
+        raise UsageError(f"{what} not found: {path}")
+    return path
 
 
 # -- train ------------------------------------------------------------------------
 
 
-def cmd_train(args, parser) -> int:
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise UsageError(f"data file not found: {data_path}")
-    ds = load_csv(data_path, target_column=args.target)
+def cmd_train(args, resolved: str) -> int:
+    ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     scaler = MinMaxScaler().fit(ds.features)
     scaled = scaler.transform(ds.features)
 
     den_cfg = DenoiserConfig(
         arch=args.arch,
         n_features=ds.n_features,
-        blocks=_int(args.blocks),
-        hidden=_opt_int(args.hidden),
-        embed_dim=_int(args.embed_dim),
-        heads=_int(args.heads),
-        unet_channels=tuple(int(c) for c in str(args.unet_channels).split(",")),
-        time_embedding=not args.no_time_embedding,
+        blocks=args.blocks,
+        hidden=args.hidden,
+        embed_dim=args.embed_dim,
+        heads=args.heads,
+        unet_channels=args.unet_channels,
+        time_embedding=args.time_embedding,
         dtype=args.dtype,
     )
     tr_cfg = TrainingConfig(
-        epochs=_int(args.epochs),
-        batch_size=_int(args.batch_size),
-        t_training=_int(args.T),
-        lr=_float(args.lr),
-        weight_decay=_float(args.weight_decay),
-        beta_l1=_float(args.beta_l1),
-        seed=_int(args.seed),
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        t_training=args.T,
+        lr=args.lr,
+        weight_decay=args.weight_decay,
+        beta_l1=args.beta_l1,
+        seed=args.seed,
     )
-    out_dir = Path(args.out)
+    out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = format_config("train", {
-        "data": data_path, "target": args.target or "", "arch": args.arch,
-        "epochs": tr_cfg.epochs, "batch_size": tr_cfg.batch_size, "T": tr_cfg.t_training,
-        "lr": tr_cfg.lr, "weight_decay": tr_cfg.weight_decay, "beta_l1": tr_cfg.beta_l1,
-        "seed": tr_cfg.seed, "blocks": den_cfg.blocks, "hidden": den_cfg.hidden or "",
-        "embed_dim": den_cfg.embed_dim, "heads": den_cfg.heads,
-        "unet_channels": ",".join(map(str, den_cfg.unet_channels)),
-        "time_embedding": den_cfg.time_embedding, "dtype": den_cfg.dtype,
-        "checkpoint_every": args.checkpoint_every or "",
-    })
     _write_text(out_dir / "run_config.txt", resolved)
 
     denoiser = build_denoiser(den_cfg, seed=tr_cfg.seed)
 
     def maybe_checkpoint(epoch, losses):
-        every = _opt_int(args.checkpoint_every)
+        every = args.checkpoint_every
         if every and (epoch + 1) % every == 0:
             save_checkpoint(out_dir / f"epoch_{epoch + 1:04d}.ckpt", denoiser,
                             train_t=tr_cfg.t_training, scaler=scaler,
@@ -234,24 +286,18 @@ def _make_mask(args, n_rows: int, n_cols: int, seed: int) -> np.ndarray:
     if len(chosen) != 1:
         raise UsageError("choose exactly one of --mask / --mcar / --mar")
     if args.mask:
-        mask_path = Path(args.mask)
-        if not mask_path.exists():
-            raise UsageError(f"mask file not found: {mask_path}")
-        mask = read_mask_csv(mask_path)
+        mask = read_mask_csv(_existing(Path(args.mask), "mask file"))
         if mask.shape != (n_rows, n_cols):
             raise UsageError(f"mask shape {mask.shape} does not match data ({n_rows}, {n_cols})")
         return mask
     if args.mcar is not None:
-        return gen_mcar_mask(n_rows, n_cols, _float(args.mcar), derive_seed(seed, _MASK_STREAM))
-    return gen_mar_mask(n_rows, n_cols, _int(args.mar), derive_seed(seed, _MASK_STREAM))
+        return gen_mcar_mask(n_rows, n_cols, args.mcar, derive_seed(seed, _MASK_STREAM))
+    return gen_mar_mask(n_rows, n_cols, args.mar, derive_seed(seed, _MASK_STREAM))
 
 
-def cmd_impute(args, parser) -> int:
-    ckpt_path, data_path = Path(args.checkpoint), Path(args.data)
-    if not ckpt_path.exists():
-        raise UsageError(f"checkpoint not found: {ckpt_path}")
-    if not data_path.exists():
-        raise UsageError(f"data file not found: {data_path}")
+def cmd_impute(args, resolved: str) -> int:
+    ckpt_path = _existing(args.checkpoint, "checkpoint")
+    data_path = _existing(args.data, "data file")
     denoiser, train_t, scaler, _, _ = load_checkpoint(ckpt_path)
     ds = load_csv(data_path, target_column=args.target)
     if ds.n_features != denoiser.config.n_features:
@@ -259,25 +305,18 @@ def cmd_impute(args, parser) -> int:
             f"data has {ds.n_features} features, checkpoint expects "
             f"{denoiser.config.n_features}"
         )
-    seed = _int(args.seed)
+    seed = args.seed
     mask = _make_mask(args, ds.n_rows, ds.n_features, seed)
     opts = SamplerOptions(
-        t_sampling=_int(args.T_sampling),
-        tau=_opt_int(args.tau),
+        t_sampling=args.T_sampling,
+        tau=args.tau,
         skip_type=args.skip_type,
-        eta=_float(args.eta),
-        jump_length=_int(args.jump_length),
-        jump_n_sample=_int(args.jump_n_sample),
-        n_inferences=_int(args.n_inferences),
+        eta=args.eta,
+        jump_length=args.jump_length,
+        jump_n_sample=args.jump_n_sample,
+        n_inferences=args.n_inferences,
         seed=derive_seed(seed, _SAMPLE_STREAM),
     )
-    resolved = format_config("impute", {
-        "checkpoint": ckpt_path, "data": data_path, "mask": args.mask or "",
-        "mcar": args.mcar or "", "mar": args.mar or "", "T_sampling": opts.t_sampling,
-        "tau": opts.tau or "", "skip_type": opts.skip_type, "eta": opts.eta,
-        "jump_length": opts.jump_length, "jump_n_sample": opts.jump_n_sample,
-        "n_inferences": opts.n_inferences, "seed": seed, "target": args.target or "",
-    })
 
     sched = build_cosine_schedule(opts.t_sampling)
     scaled = scaler.transform(ds.features) if scaler is not None else ds.features
@@ -291,7 +330,7 @@ def cmd_impute(args, parser) -> int:
 
     out = scaler.inverse_transform(out_scaled) if scaler is not None else out_scaled
     out[mask] = ds.features[mask]  # observations pass through verbatim
-    out_path = Path(args.out)
+    out_path = args.out
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out_path, out, ds.feature_names,
               header_comments=header_comments(seed, resolved))
@@ -329,44 +368,46 @@ def _parse_grid(tokens: list[str]) -> list[MaskSpec]:
     return specs
 
 
-def _diffusion_impute_fn(denoiser, train_t, ckpt_scaler, bench_scaler, opts_base):
-    """Adapter: one inference in the checkpoint's model space, scored in
-    the benchmark's common scaled space."""
+def _diffusion_impute_fn(denoiser, train_t, opts_base):
+    """Adapter: one inference of the diffusion imputer, in the checkpoint's
+    model space."""
 
     def fn(x_obs, mask, seed):
-        raw = bench_scaler.inverse_transform(x_obs)
-        model_space = ckpt_scaler.transform(raw) if ckpt_scaler is not None else raw
-        table = MaskedTable(np.where(mask, model_space, 0.0), mask)
-        opts = SamplerOptions(**{**opts_base, "n_inferences": 1, "seed": seed})
-        out = impute(denoiser, table, opts, train_t=train_t)
-        back = ckpt_scaler.inverse_transform(out) if ckpt_scaler is not None else out
-        return bench_scaler.transform(back)
+        opts = SamplerOptions(**opts_base, n_inferences=1, seed=seed)
+        return impute(denoiser, MaskedTable(x_obs, mask), opts, train_t=train_t)
 
     return fn
 
 
-def cmd_benchmark(args, parser) -> int:
-    if isinstance(args.grid, str):  # config-file form
-        args.grid = args.grid.split()
-    if isinstance(args.checkpoint, str):
-        args.checkpoint = args.checkpoint.split(";")
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise UsageError(f"data file not found: {data_path}")
-    ds = load_csv(data_path, target_column=args.target)
-    seed = _int(args.seed)
-    train_ds, test_ds = split(ds, fraction=_float(args.split_fraction), seed=seed)
+def _in_bench_space(fn, ckpt_scaler, bench_scaler):
+    """Run a model-space imputer on tables in the benchmark's scaled space."""
+
+    def in_bench_space(x_obs, mask, seed):
+        raw = bench_scaler.inverse_transform(x_obs)
+        out = fn(ckpt_scaler.transform(raw) if ckpt_scaler is not None else raw, mask, seed)
+        back = ckpt_scaler.inverse_transform(out) if ckpt_scaler is not None else out
+        return bench_scaler.transform(back)
+
+    return in_bench_space
+
+
+def cmd_benchmark(args, resolved: str) -> int:
+    ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
+    seed = args.seed
+    train_ds, test_ds = split(ds, fraction=args.split_fraction, seed=seed)
     bench_scaler = MinMaxScaler().fit(train_ds.features)
     train_scaled = bench_scaler.transform(train_ds.features)
     test_scaled = bench_scaler.transform(test_ds.features)
 
-    methods = [m.strip() for m in args.methods.split(",")] if args.methods else list(BASELINE_KINDS)
+    methods = args.methods
     specs = _parse_grid(args.grid)
 
     checkpoints = {}
-    for path_str in args.checkpoint or []:
+    for path_str in args.checkpoints:
         denoiser, train_t, ck_scaler, _, _ = load_checkpoint(Path(path_str))
         checkpoints[f"diffusion-{denoiser.config.arch}"] = (denoiser, train_t, ck_scaler)
+    opts_base = dict(t_sampling=args.T_sampling, tau=args.tau, eta=args.eta,
+                     jump_length=args.jump_length, jump_n_sample=args.jump_n_sample)
 
     impute_fns = {}
     for method in methods:
@@ -376,31 +417,15 @@ def cmd_benchmark(args, parser) -> int:
             impute_fns[method] = (fn, 1)
         elif method in checkpoints:
             denoiser, train_t, ck_scaler = checkpoints[method]
-            opts_base = dict(
-                t_sampling=_int(args.T_sampling), tau=_opt_int(args.tau),
-                eta=_float(args.eta), jump_length=_int(args.jump_length),
-                jump_n_sample=_int(args.jump_n_sample),
-            )
-            impute_fns[method] = (
-                _diffusion_impute_fn(denoiser, train_t, ck_scaler, bench_scaler, opts_base),
-                _int(args.n_inferences),
-            )
+            fn = _diffusion_impute_fn(denoiser, train_t, opts_base)
+            impute_fns[method] = (_in_bench_space(fn, ck_scaler, bench_scaler), args.n_inferences)
         else:
             raise UsageError(
                 f"method {method!r} is not a baseline and no checkpoint provides it "
                 f"(available: {sorted(checkpoints) or 'none'})"
             )
 
-    resolved = format_config("benchmark", {
-        "data": data_path, "methods": ",".join(methods),
-        "grid": " ".join(args.grid), "seed": seed,
-        "split_fraction": args.split_fraction, "n_mask_seeds": args.n_mask_seeds,
-        "n_inferences": args.n_inferences, "T_sampling": args.T_sampling,
-        "tau": args.tau or "", "jobs": args.jobs, "target": args.target or "",
-        "report_space": args.report_space,
-        "checkpoints": ";".join(args.checkpoint or []),
-    })
-    out_dir = Path(args.out_dir)
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "run_config.txt", resolved)
     comments = header_comments(seed, resolved)
@@ -417,7 +442,7 @@ def cmd_benchmark(args, parser) -> int:
         fn, n_inf = impute_fns[method]
         try:
             return ensemble_eval(fn, method, test_scaled, spec,
-                                 n_mask_seeds=_int(args.n_mask_seeds),
+                                 n_mask_seeds=args.n_mask_seeds,
                                  n_inferences=n_inf,
                                  base_seed=derive_seed(seed, _MASK_STREAM),
                                  imputation_sink=imputations,
@@ -426,11 +451,10 @@ def cmd_benchmark(args, parser) -> int:
             _log(f"[benchmark] {method} undefined for {spec.label}: {err}")
             return []
 
-    jobs = _int(args.jobs)
-    if jobs > 1:
+    if args.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_cell, cells))
     else:
         results = [run_cell(c) for c in cells]
@@ -496,98 +520,50 @@ def _write_rows_csv(path: Path, header: list[str], rows: list[list], comments: l
 # -- ablate ------------------------------------------------------------------------
 
 
-def _ablate_mse(denoiser, train_t, ckpt_scaler, test_features, opts_base, mcar_p, n_mask_seeds,
-                n_inferences, base_seed):
-    """Mean over mask seeds of the MSE of the n-inference average, in the
-    checkpoint's scaled space."""
-    scaled = ckpt_scaler.transform(test_features) if ckpt_scaler is not None else test_features
-    per_seed = []
-    for s in range(n_mask_seeds):
-        mask_seed = derive_seed(base_seed, s)
-        mask = gen_mcar_mask(*scaled.shape, mcar_p, mask_seed)
-        table = MaskedTable(np.where(mask, scaled, 0.0), mask)
-        acc = np.zeros_like(scaled)
-        for i in range(n_inferences):
-            opts = SamplerOptions(**{**opts_base, "n_inferences": 1,
-                                     "seed": derive_seed(mask_seed, i)})
-            acc += impute(denoiser, table, opts, train_t=train_t)
-        avg = acc / n_inferences
-        d = scaled[~mask] - avg[~mask]
-        per_seed.append(float(np.mean(d * d)))
-    return float(np.mean(per_seed)), per_seed
-
-
-def cmd_ablate(args, parser) -> int:
-    ckpt_path, data_path = Path(args.checkpoint), Path(args.data)
-    if not ckpt_path.exists():
-        raise UsageError(f"checkpoint not found: {ckpt_path}")
-    if not data_path.exists():
-        raise UsageError(f"data file not found: {data_path}")
-    denoiser, train_t, ck_scaler, _, _ = load_checkpoint(ckpt_path)
+def cmd_ablate(args, resolved: str) -> int:
+    denoiser, train_t, ck_scaler, _, _ = load_checkpoint(_existing(args.checkpoint, "checkpoint"))
     arch = denoiser.config.arch
-    ds = load_csv(data_path, target_column=args.target)
-    seed = _int(args.seed)
-    _, test_ds = split(ds, fraction=_float(args.split_fraction), seed=seed)
-    mcar_p = _float(args.mcar)
-    t_sampling = _int(args.T_sampling)
-    n_seeds, n_inf = _int(args.n_mask_seeds), _int(args.n_inferences)
-    base_seed = derive_seed(seed, _MASK_STREAM)
+    ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
+    _, test_ds = split(ds, fraction=args.split_fraction, seed=args.seed)
+    # scored in the checkpoint's scaled space
+    x_true = ck_scaler.transform(test_ds.features) if ck_scaler is not None else test_ds.features
 
-    def run(den, tt, opts_base):
-        return _ablate_mse(den, tt, ck_scaler, test_ds.features, opts_base, mcar_p,
-                           n_seeds, n_inf, base_seed)
-
-    rows: list[list[str]] = []
-    per_seed_rows: list[list[str]] = []
+    base = dict(t_sampling=args.T_sampling, tau=None, eta=args.eta, jump_length=1)
     if args.preset == "tau-sweep":
-        # retrace depth 5 rides along, matching the published sweep protocol
-        for tau in TAU_SWEEP:
-            tau_eff = None if tau >= t_sampling else tau  # full length = plain sampler
-            opts_base = dict(t_sampling=t_sampling, tau=tau_eff, eta=_float(args.eta),
-                             jump_length=1, jump_n_sample=5)
-            mse, per_seed = run(denoiser, train_t, opts_base)
-            rows.append([f"tau={tau}", _fmt(mse)])
-            per_seed_rows += [[f"tau={tau}", str(s), _fmt(v)] for s, v in enumerate(per_seed)]
+        # retrace depth 5 rides along, matching the published sweep protocol;
+        # a skip length covering the whole axis is the plain sampler
+        runs = [(f"tau={tau}", denoiser, train_t,
+                 {**base, "tau": tau if tau < args.T_sampling else None, "jump_n_sample": 5})
+                for tau in TAU_SWEEP]
     elif args.preset == "harmonization":
-        for j in (1, 5):
-            opts_base = dict(t_sampling=t_sampling, tau=None, eta=_float(args.eta),
-                             jump_length=1, jump_n_sample=j)
-            mse, per_seed = run(denoiser, train_t, opts_base)
-            rows.append([f"j={j}", _fmt(mse)])
-            per_seed_rows += [[f"j={j}", str(s), _fmt(v)] for s, v in enumerate(per_seed)]
-    elif args.preset == "no-tst":
+        runs = [(f"j={j}", denoiser, train_t, {**base, "jump_n_sample": j}) for j in (1, 5)]
+    else:  # no-tst
         if not args.checkpoint_no_tst:
             raise UsageError("--preset no-tst requires --checkpoint-no-tst")
-        no_tst_path = Path(args.checkpoint_no_tst)
-        if not no_tst_path.exists():
-            raise UsageError(f"checkpoint not found: {no_tst_path}")
-        den2, tt2, _, _, _ = load_checkpoint(no_tst_path)
+        den2, tt2, _, _, _ = load_checkpoint(_existing(args.checkpoint_no_tst, "checkpoint"))
         if den2.config.time_embedding:
             raise UsageError(
                 "--checkpoint-no-tst must hold a model trained with the time tokenizer disabled"
             )
         if den2.config.arch != arch:
             raise UsageError("both checkpoints must share an architecture")
-        opts_base = dict(t_sampling=t_sampling, tau=None, eta=_float(args.eta),
-                         jump_length=1, jump_n_sample=_int(args.jump_n_sample))
-        for label, den, tt in (("tst", denoiser, train_t), ("no-tst", den2, tt2)):
-            mse, per_seed = run(den, tt, opts_base)
-            rows.append([label, _fmt(mse)])
-            per_seed_rows += [[label, str(s), _fmt(v)] for s, v in enumerate(per_seed)]
-    else:
-        raise UsageError(f"unknown preset {args.preset!r}")
+        base["jump_n_sample"] = args.jump_n_sample
+        runs = [("tst", denoiser, train_t, base), ("no-tst", den2, tt2, base)]
 
-    resolved = format_config("ablate", {
-        "checkpoint": ckpt_path, "checkpoint_no_tst": args.checkpoint_no_tst or "",
-        "data": data_path, "preset": args.preset, "mcar": mcar_p, "seed": seed,
-        "T_sampling": t_sampling, "n_mask_seeds": n_seeds, "n_inferences": n_inf,
-        "eta": args.eta, "jump_n_sample": args.jump_n_sample, "target": args.target or "",
-        "split_fraction": args.split_fraction,
-    })
-    out_dir = Path(args.out_dir)
+    spec = MaskSpec("mcar", p_random=args.mcar)
+    rows: list[list[str]] = []
+    per_seed_rows: list[list[str]] = []
+    for label, den, tt, opts_base in runs:
+        scored = ensemble_eval(_diffusion_impute_fn(den, tt, opts_base), label, x_true, spec,
+                               n_mask_seeds=args.n_mask_seeds, n_inferences=args.n_inferences,
+                               base_seed=derive_seed(args.seed, _MASK_STREAM))
+        rows.append([label, _fmt(np.mean([r.mse for r in scored]))])
+        per_seed_rows += [[label, str(r.mask_seed), _fmt(r.mse)] for r in scored]
+
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "run_config.txt", resolved)
-    comments = header_comments(seed, resolved)
+    comments = header_comments(args.seed, resolved)
     _write_rows_csv(out_dir / "ablation.csv", ["setting", arch], rows, comments)
     _write_rows_csv(out_dir / "ablation_per_seed.csv", ["setting", "mask_seed", arch],
                     per_seed_rows, comments)
@@ -601,101 +577,86 @@ def cmd_ablate(args, parser) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tabdiffuse",
         description="Diffusion-based imputation for numeric tabular data",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.command_parsers = {}
 
-    def add_config_flag(p):
+    def command(name, help, out_flag, out_help=None):
+        """A command's parser, with the options every command takes."""
+        p = parser.command_parsers[name] = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None,
                        help="key = value config file; CLI flags win")
+        p.add_argument("--data", type=Path, required=True)
+        p.add_argument("--target", default=None, help="column excluded from the features")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(out_flag, type=Path, required=True, help=out_help)
+        return p
 
-    p_train = sub.add_parser("train", help="train a denoiser on a complete table")
-    add_config_flag(p_train)
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--target", default=None, help="column excluded from the features")
+    def add_sampler_flags(p, plan=True):
+        """Sampler options; ablate's presets set the skip and retrace
+        lengths themselves (plan=False)."""
+        p.add_argument("--T-sampling", type=int, default=500)
+        p.add_argument("--eta", type=float, default=0.0)
+        p.add_argument("--jump-n-sample", type=int, default=1)
+        p.add_argument("--n-inferences", type=int, default=5)
+        if plan:
+            p.add_argument("--tau", type=int, default=None,
+                           help="skip-subset length (fast sampling)")
+            p.add_argument("--jump-length", type=int, default=1)
+
+    p_train = command("train", "train a denoiser on a complete table", "--out",
+                      "output directory")
     p_train.add_argument("--arch", choices=ARCHITECTURES, default="mlp")
-    p_train.add_argument("--epochs", default=20)
-    p_train.add_argument("--batch-size", default=64)
-    p_train.add_argument("--T", default=1000, help="training diffusion steps")
-    p_train.add_argument("--lr", default=1e-3)
-    p_train.add_argument("--weight-decay", default=1e-5)
-    p_train.add_argument("--beta-l1", default=1.0)
-    p_train.add_argument("--seed", default=0)
-    p_train.add_argument("--blocks", default=3)
-    p_train.add_argument("--hidden", default=None)
-    p_train.add_argument("--embed-dim", default=192)
-    p_train.add_argument("--heads", default=8)
-    p_train.add_argument("--unet-channels", default="16,32")
+    p_train.add_argument("--epochs", type=int, default=20)
+    p_train.add_argument("--batch-size", type=int, default=64)
+    p_train.add_argument("--T", type=int, default=1000, help="training diffusion steps")
+    p_train.add_argument("--lr", type=float, default=1e-3)
+    p_train.add_argument("--weight-decay", type=float, default=1e-5)
+    p_train.add_argument("--beta-l1", type=float, default=1.0)
+    p_train.add_argument("--blocks", type=int, default=3)
+    p_train.add_argument("--hidden", type=int, default=None)
+    p_train.add_argument("--embed-dim", type=int, default=192)
+    p_train.add_argument("--heads", type=int, default=8)
+    p_train.add_argument("--unet-channels", type=_ints, default=(16, 32))
     p_train.add_argument("--dtype", choices=("float64", "float32"), default="float64")
-    p_train.add_argument("--no-time-embedding", action="store_true")
-    p_train.add_argument("--checkpoint-every", default=None)
-    p_train.add_argument("--out", required=True, help="output directory")
+    p_train.add_argument("--no-time-embedding", dest="time_embedding", action="store_false")
+    p_train.add_argument("--checkpoint-every", type=int, default=None)
 
-    p_imp = sub.add_parser("impute", help="fill missing entries with a trained model")
-    add_config_flag(p_imp)
-    p_imp.add_argument("--checkpoint", required=True)
-    p_imp.add_argument("--data", required=True)
-    p_imp.add_argument("--target", default=None)
+    p_imp = command("impute", "fill missing entries with a trained model", "--out",
+                    "imputed CSV path")
+    p_imp.add_argument("--checkpoint", type=Path, required=True)
     p_imp.add_argument("--mask", default=None, help="0/1 CSV, 1 = known")
-    p_imp.add_argument("--mcar", default=None, help="missing-cell probability")
-    p_imp.add_argument("--mar", default=None, help="number of fully missing columns")
-    p_imp.add_argument("--T-sampling", default=500)
-    p_imp.add_argument("--tau", default=None, help="skip-subset length (fast sampling)")
+    p_imp.add_argument("--mcar", type=float, default=None, help="missing-cell probability")
+    p_imp.add_argument("--mar", type=int, default=None, help="number of fully missing columns")
     p_imp.add_argument("--skip-type", choices=("uniform", "quad"), default="uniform")
-    p_imp.add_argument("--eta", default=0.0)
-    p_imp.add_argument("--jump-length", default=1)
-    p_imp.add_argument("--jump-n-sample", default=1)
-    p_imp.add_argument("--n-inferences", default=5)
-    p_imp.add_argument("--seed", default=0)
-    p_imp.add_argument("--out", required=True, help="imputed CSV path")
+    add_sampler_flags(p_imp)
 
-    p_bench = sub.add_parser("benchmark", help="baselines + diffusion over a mask grid")
-    add_config_flag(p_bench)
-    p_bench.add_argument("--data", required=True)
-    p_bench.add_argument("--target", default=None)
-    p_bench.add_argument("--methods", default=None,
+    p_bench = command("benchmark", "baselines + diffusion over a mask grid", "--out-dir")
+    p_bench.add_argument("--methods", type=_names, default=BASELINE_KINDS,
                          help="comma list; baselines and diffusion-<arch>")
-    p_bench.add_argument("--checkpoint", action="append", default=None,
+    p_bench.add_argument("--checkpoint", dest="checkpoints", action=_Repeat, default=[],
                          help="repeatable; provides diffusion-<arch> methods")
     p_bench.add_argument("--grid", nargs="+", default=["mcar=10..90"],
                          help="e.g. mcar=10..90 mar=1..4 or mcar=30,50")
-    p_bench.add_argument("--split-fraction", default=0.8)
-    p_bench.add_argument("--n-mask-seeds", default=5)
-    p_bench.add_argument("--n-inferences", default=5)
-    p_bench.add_argument("--T-sampling", default=500)
-    p_bench.add_argument("--tau", default=None)
-    p_bench.add_argument("--eta", default=0.0)
-    p_bench.add_argument("--jump-length", default=1)
-    p_bench.add_argument("--jump-n-sample", default=1)
+    p_bench.add_argument("--split-fraction", type=float, default=0.8)
+    p_bench.add_argument("--n-mask-seeds", type=int, default=5)
     p_bench.add_argument("--report-space", choices=("scaled", "raw"), default="scaled")
-    p_bench.add_argument("--jobs", default=1)
-    p_bench.add_argument("--seed", default=0)
-    p_bench.add_argument("--out-dir", required=True)
+    p_bench.add_argument("--jobs", type=int, default=1)
+    add_sampler_flags(p_bench)
 
-    p_abl = sub.add_parser("ablate", help="time-embedding / retrace / skip-length sweeps")
-    add_config_flag(p_abl)
-    p_abl.add_argument("--checkpoint", required=True)
-    p_abl.add_argument("--checkpoint-no-tst", default=None)
-    p_abl.add_argument("--data", required=True)
-    p_abl.add_argument("--target", default=None)
+    p_abl = command("ablate", "time-embedding / retrace / skip-length sweeps", "--out-dir")
+    p_abl.add_argument("--checkpoint", type=Path, required=True)
+    p_abl.add_argument("--checkpoint-no-tst", type=Path, default=None)
     p_abl.add_argument("--preset", choices=("no-tst", "harmonization", "tau-sweep"),
                        required=True)
-    p_abl.add_argument("--mcar", default=0.3)
-    p_abl.add_argument("--split-fraction", default=0.8)
-    p_abl.add_argument("--T-sampling", default=500)
-    p_abl.add_argument("--eta", default=0.0)
-    p_abl.add_argument("--jump-n-sample", default=1)
-    p_abl.add_argument("--n-mask-seeds", default=5)
-    p_abl.add_argument("--n-inferences", default=5)
-    p_abl.add_argument("--seed", default=0)
-    p_abl.add_argument("--out-dir", required=True)
-
-    parser.command_parsers = {
-        "train": p_train, "impute": p_imp, "benchmark": p_bench, "ablate": p_abl,
-    }
+    p_abl.add_argument("--mcar", type=float, default=0.3)
+    p_abl.add_argument("--split-fraction", type=float, default=0.8)
+    p_abl.add_argument("--n-mask-seeds", type=int, default=5)
+    add_sampler_flags(p_abl, plan=False)
     return parser
 
 
@@ -711,15 +672,11 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, parser, args.command)
-        return COMMANDS[args.command](args, parser)
-    except (UsageError, CsvFormatError, CheckpointError, BaselineError) as err:
-        _log(f"error: {err}")
-        return EXIT_USAGE
-    except ValueError as err:
-        _log(f"error: {err}")
-        return EXIT_USAGE
-    except OSError as err:
+        if args.config:
+            _apply_config_file(args, parser)
+            args = parser.parse_args(argv)
+        return COMMANDS[args.command](args, resolved_config(args, parser))
+    except (ValueError, OSError) as err:  # UsageError and the input errors are ValueErrors
         _log(f"error: {err}")
         return EXIT_USAGE
     except (NumericError, TrainingDiverged) as err:

@@ -37,8 +37,6 @@ def derive_seed(seed: int, *indices: int) -> int:
 class Rng:
     """Seeded random stream (Philox 4x64-10 bits, Box-Muller normals)."""
 
-    algorithm = "philox4x64-10 + box-muller"
-
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))

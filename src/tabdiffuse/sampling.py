@@ -45,7 +45,6 @@ class SamplerOptions:
     eta: float = 0.0
     jump_length: int = 1
     jump_n_sample: int = 1  # retrace depth j; 1 = no retracing
-    n_mask_seeds: int = 5
     n_inferences: int = 5
     seed: int = 0
     # Clean-state clamp applied inside every reverse step; keeps the walk
@@ -61,19 +60,18 @@ class SamplerOptions:
             raise ValueError("eta must be >= 0")
         if self.jump_length < 1 or self.jump_n_sample < 1:
             raise ValueError("jump parameters must be >= 1")
-        if self.n_inferences < 1 or self.n_mask_seeds < 1:
-            raise ValueError("ensemble counts must be >= 1")
+        if self.n_inferences < 1:
+            raise ValueError("n_inferences must be >= 1")
         if self.clip_x0 is not None and not self.clip_x0[0] < self.clip_x0[1]:
             raise ValueError("clip_x0 bounds must be ordered")
 
 
 @dataclass
 class MaskedTable:
-    """Observed table plus Boolean mask (True = known); scaler rides along."""
+    """Observed table plus Boolean mask (True = known)."""
 
     x_obs: np.ndarray
     mask: np.ndarray
-    scaler: object | None = None
 
     def __post_init__(self):
         self.x_obs = np.asarray(self.x_obs, dtype=np.float64)
@@ -99,13 +97,6 @@ def noisy_known(sched: DiffusionSchedule, x0: np.ndarray, level: int, eps: np.nd
     """Observations forward-diffused to ``level``; level 0 returns x0 exactly."""
     abar = sched.alpha_bar_at(level)
     return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
-
-
-def known_sample(sched: DiffusionSchedule, x0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """Known-region sample for the state one step below t."""
-    if t < 1:
-        raise IndexError("t must be >= 1")
-    return noisy_known(sched, x0, t - 1, eps)
 
 
 def _clip_state_estimate(
@@ -153,12 +144,6 @@ def combine(known: np.ndarray, unknown: np.ndarray, mask: np.ndarray) -> np.ndar
         raise ValueError("combine requires matching shapes")
     m = mask.astype(known.dtype)
     return m * known + (1.0 - m) * unknown
-
-
-def harmonize_back(sched: DiffusionSchedule, x_prev: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """One-step forward re-noising of x_{t-1} to x_t (single-step alpha)."""
-    alpha = sched.alpha_at(t)
-    return math.sqrt(alpha) * x_prev + math.sqrt(1.0 - alpha) * eps
 
 
 def harmonize_jump(

@@ -77,19 +77,6 @@ def build_cosine_schedule(T: int) -> DiffusionSchedule:
                              posterior_sigma=posterior_sigma)
 
 
-def build_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> DiffusionSchedule:
-    """Linear beta schedule (ablation option)."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    abar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
-    posterior_sigma = np.sqrt((1.0 - abar_prev) / (1.0 - alpha_bar) * beta)
-    return DiffusionSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                             posterior_sigma=posterior_sigma)
-
-
 def ddim_sigma(sched: DiffusionSchedule, t: int, prev_t: int, eta: float) -> float:
     """Stochasticity of a (possibly skipping) reverse step from t to prev_t.
 

@@ -241,9 +241,6 @@ class Tensor:
     def tanh(self):
         return tanh(self)
 
-    def sigmoid(self):
-        return sigmoid(self)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -457,22 +454,10 @@ def tanh(a) -> Tensor:
     return Tensor._from_op(data, (a,), backward, "tanh")
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    # exp(-|x|) never overflows, so both branches are safe to evaluate.
-    e = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g, _a=a, _out=data):
-        if _a.requires_grad:
-            _route(_a, g * _out * (1.0 - _out))
-
-    return Tensor._from_op(data, (a,), backward, "sigmoid")
-
-
 def silu(a) -> Tensor:
     """x * sigmoid(x)."""
     a = as_tensor(a)
+    # exp(-|x|) never overflows, so both branches are safe to evaluate.
     e = np.exp(-np.abs(a.data))
     s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     data = a.data * s

@@ -436,3 +436,141 @@ def test_config_file_grid_string_for_benchmark(workdir, tmp_path):
     body = [l for l in (out_dir / "summary.csv").read_text().splitlines()
             if not l.startswith("#")]
     assert body[0] == "method,mcar-0.3,mcar-0.6"
+
+
+# -- resolved config and config files -------------------------------------------------
+
+# Resolved config text for canonical spellings; {work} and {out} stand for the
+# fixture and output directories.
+GOLDEN_CONFIGS = {
+    "train": (
+        ["train", "--data", "{work}/data.csv", "--epochs", "1", "--batch-size", "32",
+         "--T", "30", "--seed", "7", "--blocks", "1", "--hidden", "8", "--out", "{out}/run"],
+        "run/run_config.txt",
+        ["[train]", "T = 30", "arch = mlp", "batch_size = 32", "beta_l1 = 1.0", "blocks = 1",
+         "checkpoint_every = ", "data = {work}/data.csv", "dtype = float64",
+         "embed_dim = 192", "epochs = 1", "heads = 8", "hidden = 8", "lr = 0.001",
+         "seed = 7", "target = ", "time_embedding = True", "unet_channels = 16,32",
+         "weight_decay = 1e-05"],
+    ),
+    "impute": (
+        ["impute", "--checkpoint", "{work}/run/checkpoint.ckpt", "--data", "{work}/data.csv",
+         "--mcar", "0.3", "--T-sampling", "20", "--tau", "5", "--n-inferences", "1",
+         "--seed", "5", "--out", "{out}/imp.csv"],
+        "imp.csv.config.txt",
+        ["[impute]", "T_sampling = 20", "checkpoint = {work}/run/checkpoint.ckpt",
+         "data = {work}/data.csv", "eta = 0.0", "jump_length = 1", "jump_n_sample = 1",
+         "mar = ", "mask = ", "mcar = 0.3", "n_inferences = 1", "seed = 5",
+         "skip_type = uniform", "target = ", "tau = 5"],
+    ),
+    "ablate": (
+        ["ablate", "--checkpoint", "{work}/run/checkpoint.ckpt", "--data", "{work}/data.csv",
+         "--preset", "harmonization", "--T-sampling", "10", "--n-mask-seeds", "1",
+         "--n-inferences", "1", "--seed", "5", "--out-dir", "{out}/abl"],
+        "abl/run_config.txt",
+        ["[ablate]", "T_sampling = 10", "checkpoint = {work}/run/checkpoint.ckpt",
+         "checkpoint_no_tst = ", "data = {work}/data.csv", "eta = 0.0", "jump_n_sample = 1",
+         "mcar = 0.3", "n_inferences = 1", "n_mask_seeds = 1", "preset = harmonization",
+         "seed = 5", "split_fraction = 0.8", "target = "],
+    ),
+    "benchmark": (
+        ["benchmark", "--data", "{work}/data.csv", "--methods", "mean,diffusion-mlp",
+         "--checkpoint", "{work}/run/checkpoint.ckpt", "--grid", "mcar=30", "mar=1",
+         "--n-mask-seeds", "1", "--n-inferences", "1", "--T-sampling", "10", "--tau", "5",
+         "--seed", "2", "--out-dir", "{out}/bench"],
+        "bench/run_config.txt",
+        ["[benchmark]", "T_sampling = 10", "checkpoints = {work}/run/checkpoint.ckpt",
+         "data = {work}/data.csv", "eta = 0.0", "grid = mcar=30 mar=1", "jobs = 1",
+         "jump_length = 1", "jump_n_sample = 1", "methods = mean,diffusion-mlp",
+         "n_inferences = 1", "n_mask_seeds = 1", "report_space = scaled", "seed = 2",
+         "split_fraction = 0.8", "target = ", "tau = 5"],
+    ),
+    "benchmark-defaults": (
+        ["benchmark", "--data", "{work}/data.csv", "--grid", "mcar=40", "--n-mask-seeds", "1",
+         "--out-dir", "{out}/bench2"],
+        "bench2/run_config.txt",
+        ["[benchmark]", "T_sampling = 500", "checkpoints = ", "data = {work}/data.csv",
+         "eta = 0.0", "grid = mcar=40", "jobs = 1", "jump_length = 1", "jump_n_sample = 1",
+         "methods = mean,median,mode,const0,const1,locf,nocb", "n_inferences = 5",
+         "n_mask_seeds = 1", "report_space = scaled", "seed = 0", "split_fraction = 0.8",
+         "target = ", "tau = "],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_resolved_config_text_is_pinned(workdir, tmp_path, name):
+    argv, cfg_file, lines = GOLDEN_CONFIGS[name]
+    assert main([a.format(work=workdir, out=tmp_path) for a in argv]) == 0
+    text = (tmp_path / cfg_file).read_text()
+    assert text == "\n".join(lines).format(work=workdir) + "\n"
+
+
+def _stamp(path):
+    return [l for l in path.read_text().splitlines() if l.startswith("# config-sha256:")][0]
+
+
+def test_benchmark_stamp_covers_sampler_options(workdir, tmp_path):
+    base = ["benchmark", "--data", str(workdir / "data.csv"), "--methods", "mean",
+            "--grid", "mcar=40", "--n-mask-seeds", "1", "--tau", "10"]
+    variants = {"default": [], "eta": ["--eta", "1"], "jump-length": ["--jump-length", "2"],
+                "jump-n-sample": ["--jump-n-sample", "3"]}
+    stamps = set()
+    for name, extra in variants.items():
+        assert main(base + extra + ["--out-dir", str(tmp_path / name)]) == 0
+        stamps.add(_stamp(tmp_path / name / "rows.csv"))
+    assert len(stamps) == len(variants)
+
+
+@pytest.mark.parametrize("value,time_embedding", [("false", True), ("true", False)])
+def test_config_file_switch_is_honoured(workdir, tmp_path, value, time_embedding):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"[train]\nno-time-embedding = {value}\n")
+    rc = main([
+        "train", "--config", str(cfg), "--data", str(workdir / "data.csv"),
+        "--epochs", "1", "--T", "30", "--blocks", "1", "--hidden", "8",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 0
+    from tabdiffuse.checkpoint import load_checkpoint
+
+    den, _, _, _, _ = load_checkpoint(tmp_path / "run" / "checkpoint.ckpt")
+    assert den.config.time_embedding is time_embedding
+
+
+@pytest.mark.parametrize("command,config_text,flags,option", [
+    ("train", "[train]\nepochs = abc\n", [], "epochs"),
+    ("train", "[train]\nno-time-embedding = maybe\n", [], "no-time-embedding"),
+    ("benchmark", "[benchmark]\nreport-space = RAW\n", [], "report-space"),
+    ("train", None, ["--epochs", "abc"], "--epochs"),
+    ("benchmark", None, ["--report-space", "RAW"], "--report-space"),
+])
+def test_malformed_values_exit_2_naming_the_option(workdir, tmp_path, capsys, command,
+                                                   config_text, flags, option):
+    argv = [command, "--data", str(workdir / "data.csv"), *flags]
+    argv += ["--out", str(tmp_path / "o")] if command == "train" else [
+        "--out-dir", str(tmp_path / "o")]
+    if config_text is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_command_line_flags_win_over_config_file(workdir, tmp_path):
+    ckpt = str(workdir / "run" / "checkpoint.ckpt")
+    cfg = tmp_path / "bench.cfg"
+    # the configured checkpoints do not exist: loading them would fail the run
+    cfg.write_text("[benchmark]\nseed = 3\ncheckpoint = missing-a.ckpt;missing-b.ckpt\n"
+                   "methods = mean\ngrid = mcar=40\nn-mask-seeds = 1\n")
+    out_dir = tmp_path / "bench"
+    rc = main([
+        "benchmark", "--config", str(cfg), "--data", str(workdir / "data.csv"),
+        "--seed", "0", "--checkpoint", ckpt, "--out-dir", str(out_dir),
+    ])
+    assert rc == 0
+    text = (out_dir / "run_config.txt").read_text().splitlines()
+    assert "seed = 0" in text  # a flag equal to its default still wins
+    assert f"checkpoints = {ckpt}" in text

@@ -12,11 +12,10 @@ from tabdiffuse.sampling import (
     build_plan,
     combine,
     ddpm_step,
-    harmonize_back,
     harmonize_jump,
     impute,
     impute_ddim_step,
-    known_sample,
+    noisy_known,
 )
 from tabdiffuse.schedule import DiffusionSchedule, build_cosine_schedule
 
@@ -40,17 +39,18 @@ def tiny_denoiser(k=2, seed=0):
 
 
 def test_known_sample_t1_returns_observations():
+    # the known-region sample one step below t = 1 is level 0: x0 exactly
     sched = build_cosine_schedule(50)
     x0 = Rng(0).normal((4, 3))
     eps = Rng(1).normal((4, 3))
-    np.testing.assert_array_equal(known_sample(sched, x0, 1, eps), x0)
+    np.testing.assert_array_equal(noisy_known(sched, x0, 0, eps), x0)
 
 
 def test_known_sample_zero_noise():
     sched = build_cosine_schedule(50)
     x0 = Rng(2).normal((4, 3))
     t = 17
-    out = known_sample(sched, x0, t, np.zeros_like(x0))
+    out = noisy_known(sched, x0, t - 1, np.zeros_like(x0))
     np.testing.assert_allclose(out, math.sqrt(sched.alpha_bar_at(t - 1)) * x0, atol=1e-15)
 
 
@@ -61,9 +61,9 @@ def test_known_sample_formula_oracle():
     for t in [1, 2, 25, 50]:
         ab = sched.alpha_bar_at(t - 1)
         expect = math.sqrt(ab) * x0 + math.sqrt(1 - ab) * eps
-        np.testing.assert_allclose(known_sample(sched, x0, t, eps), expect, atol=1e-14)
+        np.testing.assert_allclose(noisy_known(sched, x0, t - 1, eps), expect, atol=1e-14)
     with pytest.raises(IndexError):
-        known_sample(sched, x0, 0, eps)
+        noisy_known(sched, x0, -1, eps)
 
 
 def test_ddpm_step_identity_limit():
@@ -107,9 +107,10 @@ def test_combine_cases():
 
 
 def test_harmonize_back_identity_limit():
+    # one harmonization step back up, from level t - 1 to t
     sched = near_identity_schedule()
     x = Rng(11).normal((3, 2))
-    np.testing.assert_allclose(harmonize_back(sched, x, 2, np.zeros_like(x)), x, atol=1e-9)
+    np.testing.assert_allclose(harmonize_jump(sched, x, 1, 2, np.zeros_like(x)), x, atol=1e-9)
 
 
 def test_harmonize_back_variance_monte_carlo():
@@ -117,7 +118,7 @@ def test_harmonize_back_variance_monte_carlo():
     t = 60
     n = 100_000
     x = np.zeros((n, 1))
-    out = harmonize_back(sched, x, t, Rng(12).normal((n, 1)))
+    out = harmonize_jump(sched, x, t - 1, t, Rng(12).normal((n, 1)))
     expect = 1.0 - sched.alpha_at(t)
     sigma_var = expect * np.sqrt(2.0 / (n - 1))
     assert abs(out.var() - expect) <= 3 * sigma_var
@@ -128,9 +129,10 @@ def test_harmonize_jump_adjacent_equals_single_step():
     x = Rng(13).normal((3, 2))
     eps = Rng(14).normal((3, 2))
     for t in [2, 50, 100]:
+        alpha = sched.alpha_at(t)
         np.testing.assert_allclose(
             harmonize_jump(sched, x, t - 1, t, eps),
-            harmonize_back(sched, x, t, eps),
+            math.sqrt(alpha) * x + math.sqrt(1.0 - alpha) * eps,
             atol=1e-12,
         )
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tabdiffuse.schedule import (
     build_cosine_schedule,
-    build_linear_schedule,
     ddim_sigma,
     harmonization_plan,
     skip_seq,
@@ -82,12 +81,6 @@ def test_schedule_time_bounds():
         s.alpha_bar_at(11)
     with pytest.raises(ValueError):
         build_cosine_schedule(0)
-
-
-def test_linear_schedule_basics():
-    s = build_linear_schedule(100)
-    assert np.all(np.diff(s.alpha_bar) < 0)
-    assert s.beta[0] == pytest.approx(1e-4)
 
 
 # -- ddim sigma -----------------------------------------------------------------

@@ -53,13 +53,13 @@ def test_broadcast_add_mul_backward():
 
 @pytest.mark.parametrize(
     "opname",
-    ["relu", "exp", "log", "sqrt", "tanh", "sigmoid", "silu", "gelu", "abs"],
+    ["relu", "exp", "log", "sqrt", "tanh", "silu", "gelu", "abs"],
 )
 def test_elementwise_op_gradients(opname):
     p = parameter(np.array([0.31, 0.77, 1.53, 2.1]))
     op = {
         "relu": T.relu, "exp": T.exp, "log": T.log, "sqrt": T.sqrt,
-        "tanh": T.tanh, "sigmoid": T.sigmoid, "silu": T.silu,
+        "tanh": T.tanh, "silu": T.silu,
         "gelu": T.gelu, "abs": T.absolute,
     }[opname]
     check_gradients(lambda: op(p).sum(), [p])
