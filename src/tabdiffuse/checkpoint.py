@@ -80,7 +80,7 @@ def load_checkpoint(path):
     cfg_dict["unet_channels"] = tuple(cfg_dict["unet_channels"])
     config = DenoiserConfig(**cfg_dict)
     denoiser = build_denoiser(config, seed=0)
-    body = raw[16 + head_len :]
+    body = memoryview(raw)[16 + head_len :]  # a view: the weights are copied once, below
     np_dtype = np.dtype("<f8" if header["dtype"] == "float64" else "<f4")
     seen = set()
     by_name = dict(denoiser.named_parameters())
@@ -93,7 +93,7 @@ def load_checkpoint(path):
         arr = np.frombuffer(buf, dtype=np_dtype).reshape(shape)
         if by_name[name].data.shape != arr.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-        by_name[name].data = arr.astype(config.np_dtype).copy()
+        by_name[name].data = np.array(arr, dtype=config.np_dtype)
         seen.add(name)
     missing = set(by_name) - seen
     if missing:

@@ -240,17 +240,19 @@ class TransformerBlock(Module):
         self.res_dropout = Dropout(config.residual_dropout)
 
     def forward(self, x, scale, shift, training, rng):
-        h = self.attn(self.norm1(x), training, rng)
-        x = x + self.res_dropout(h, training, rng)
-        u = self.ffn_in(self.norm2(x))
-        value, gate = u[:, :, : self.ffn_hidden], u[:, :, self.ffn_hidden :]
-        hidden = value * relu(gate)
+        # Nested calls let inference free each activation as soon as it is used.
+        x = x + self.res_dropout(self.attn(self.norm1(x), training, rng), training, rng)
+        hidden = self._reglu(self.ffn_in(self.norm2(x)))
         hidden = apply_film(hidden, reshape(scale, (-1, 1, self.ffn_hidden)),
                             reshape(shift, (-1, 1, self.ffn_hidden)))
         h = self.ffn_out(self.ffn_dropout(hidden, training, rng))
         return x + self.res_dropout(h, training, rng)
 
     __call__ = forward
+
+    def _reglu(self, u: Tensor) -> Tensor:
+        """The value half of ``u`` times the rectified gate half."""
+        return u[:, :, : self.ffn_hidden] * relu(u[:, :, self.ffn_hidden :])
 
 
 class TransformerDenoiser(Denoiser):
@@ -274,9 +276,8 @@ class TransformerDenoiser(Denoiser):
     def forward(self, x, t, training=False, rng=None):
         B, k = x.shape
         scale, shift = film_pair(self.tokenizer, t)
-        tokens = self.feature_tokenizer(x)
         cls = self.cls + Tensor(np.zeros((B, 1, self.config.embed_dim), dtype=self.config.np_dtype))
-        h = concat([cls, tokens], axis=1)
+        h = concat([cls, self.feature_tokenizer(x)], axis=1)
         for block in self.blocks:
             h = block(h, scale, shift, training, rng)
         h = h[:, 1:, :]  # drop CLS; keep per-feature correspondence

@@ -18,6 +18,8 @@ from .tensor import (
     Tensor,
     as_tensor,
     gelu,
+    layer_norm,
+    linear,
     matmul,
     parameter,
     reshape,
@@ -107,7 +109,7 @@ class Linear(Module):
         self.bias = parameter((2.0 * rng.uniform((out_dim,)) - 1.0) * bb, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight) + self.bias
+        return linear(x, self.weight, self.bias)
 
     __call__ = forward
 
@@ -167,10 +169,7 @@ class LayerNorm(Module):
         self.beta = parameter(np.zeros(dim), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        return xc * ((var + self.eps) ** -0.5) * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
     __call__ = forward
 
@@ -217,15 +216,14 @@ class MultiHeadSelfAttention(Module):
 
     def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
         B, T, _ = x.shape
-        q = self._split(self.q(x), B, T)
-        k = self._split(self.k(x), B, T)
-        v = self._split(self.v(x), B, T)
-        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(self.head_dim))
-        probs = softmax(scores, axis=-1)
+        # Each projection is made where it is consumed, so inference never
+        # holds q, k, v and the head outputs at once.
+        scores = matmul(self._split(self.q(x), B, T),
+                        transpose(self._split(self.k(x), B, T), (0, 1, 3, 2)))
+        probs = softmax(scores * (1.0 / math.sqrt(self.head_dim)), axis=-1)
         probs = self.attn_dropout(probs, training, rng)
-        mixed = matmul(probs, v)  # (B, heads, T, head_dim)
-        merged = reshape(transpose(mixed, (0, 2, 1, 3)), (B, T, self.dim))
-        return self.out(merged)
+        mixed = matmul(probs, self._split(self.v(x), B, T))  # (B, heads, T, head_dim)
+        return self.out(reshape(transpose(mixed, (0, 2, 1, 3)), (B, T, self.dim)))
 
     __call__ = forward
 

@@ -70,7 +70,7 @@ class AdamW:
     """Decoupled-weight-decay Adam with bias correction.
 
     ``step()`` applies one update to every parameter whose gradient slot is
-    populated, then zeroes all gradients.
+    populated, zeroes all gradients, and returns how many it updated.
     """
 
     params: ParamStore
@@ -83,14 +83,16 @@ class AdamW:
     _m: dict[str, np.ndarray] = field(default_factory=dict)
     _v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def step(self) -> None:
+    def step(self) -> int:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        updated = 0
         for name, p in self.params.items():
             if p.grad is None:
                 continue
+            updated += 1
             g = p.grad
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
@@ -104,3 +106,4 @@ class AdamW:
             v_hat = v / bc2
             p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
         self.params.zero_grad()
+        return updated

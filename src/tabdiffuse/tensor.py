@@ -13,17 +13,19 @@ public operation validates that its result is finite and raises
 from __future__ import annotations
 
 import contextlib
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
 
-_grad_enabled = True
-
-# Gradient sink of the backward pass currently in flight; maps id(tensor) of
-# intermediate nodes to their accumulated upstream gradient.
-_active_sink: dict[int, np.ndarray] | None = None
+# Grad mode, and the gradient sink of the backward pass in flight (id(tensor)
+# of an intermediate node -> its accumulated upstream gradient).  Both are
+# per thread: a no_grad() block or a backward pass in one thread never
+# changes another's, and every thread starts from the defaults.
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+_active_sink: ContextVar[dict[int, np.ndarray] | None] = ContextVar("active_sink", default=None)
 
 
 class NumericError(ArithmeticError):
@@ -32,18 +34,16 @@ class NumericError(ArithmeticError):
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording (inference / sampling hot paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording in the calling thread (inference / sampling hot paths)."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by '{op}'")
 
 
@@ -60,9 +60,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _route(t: "Tensor", grad: np.ndarray) -> None:
     """Hand a parent its upstream gradient during a backward pass."""
-    if t._backward is not None and _active_sink is not None:
-        cur = _active_sink.get(id(t))
-        _active_sink[id(t)] = grad if cur is None else cur + grad
+    sink = _active_sink.get()
+    if t._backward is not None and sink is not None:
+        cur = sink.get(id(t))
+        sink[id(t)] = grad if cur is None else cur + grad
     else:
         t._accumulate(grad)
 
@@ -94,7 +95,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -141,7 +142,6 @@ class Tensor:
 
     def backward(self) -> None:
         """Backpropagate from a scalar; accumulates into leaf ``grad`` slots."""
-        global _active_sink
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         # Iterative topological sort; training graphs can be deep.
@@ -162,7 +162,7 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        _active_sink = grads
+        token = _active_sink.set(grads)
         try:
             for node in reversed(topo):
                 g = grads.pop(id(node), None)
@@ -173,7 +173,7 @@ class Tensor:
                 else:
                     node._backward(g)
         finally:
-            _active_sink = None
+            _active_sink.reset(token)
 
     # -- operators ------------------------------------------------------------
 
@@ -305,6 +305,66 @@ def matmul(a, b) -> Tensor:
             _route(_b, _unbroadcast(gb, _b.shape))
 
     return Tensor._from_op(data, (a, b), backward, "matmul")
+
+
+def linear(x, weight, bias) -> Tensor:
+    """x @ weight + bias over the last axis of x, as one 2-D GEMM.
+
+    All leading axes of ``x`` are folded into rows, so a (batch, tokens, in)
+    input costs a single BLAS call instead of one per batch entry.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    lead = x.shape[:-1]
+    x2 = x.data.reshape(-1, weight.shape[0])
+    out = x2 @ weight.data
+    out += bias.data
+    data = out.reshape(*lead, weight.shape[1])
+
+    def backward(g, _x=x, _w=weight, _b=bias, _x2=x2):
+        g2 = g.reshape(-1, _w.shape[1])
+        if _b.requires_grad:
+            _route(_b, g2.sum(axis=0))
+        if _w.requires_grad:
+            _route(_w, _x2.T @ g2)
+        if _x.requires_grad:
+            _route(_x, (g2 @ _w.data.T).reshape(_x.shape))
+
+    return Tensor._from_op(data, (x, weight, bias), backward, "linear")
+
+
+def layer_norm(x, gamma, beta, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by ``gamma`` and shift by ``beta``.
+
+    The forward pass keeps the arithmetic order of the composed
+    mean / subtract / variance chain, so its values are the same bits; the
+    backward pass is the closed form
+    r * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)), g_hat = g * gamma.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    inv_n = 1.0 / float(x.shape[-1])
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_n
+    _check_finite(var, "layer_norm")  # an overflowed variance would zero the row, not poison it
+    r = (var + eps) ** -0.5
+    xhat *= r
+    data = xhat * gamma.data
+    data += beta.data
+
+    def backward(g, _x=x, _gamma=gamma, _beta=beta, _xhat=xhat, _r=r):
+        d = g.shape[-1]
+        if _beta.requires_grad:
+            _route(_beta, g.reshape(-1, d).sum(axis=0))
+        if _gamma.requires_grad:
+            _route(_gamma, (g * _xhat).reshape(-1, d).sum(axis=0))
+        if _x.requires_grad:
+            gh = g * _gamma.data
+            gx = gh - gh.mean(axis=-1, keepdims=True)
+            gh *= _xhat
+            gx -= _xhat * gh.mean(axis=-1, keepdims=True)
+            gx *= _r
+            _route(_x, gx)
+
+    return Tensor._from_op(data, (x, gamma, beta), backward, "layer_norm")
 
 
 # -- reductions and shape ops ----------------------------------------------------
@@ -511,7 +571,9 @@ def conv1d(x, weight, bias, padding: int = 1) -> Tensor:
     """1D convolution over (batch, channels, length), stride 1.
 
     ``weight`` is (out_channels, in_channels, kernel); output length equals
-    input length when padding = (kernel - 1) // 2.
+    input length when padding = (kernel - 1) // 2.  The windows are unrolled
+    into a (batch * length, channels * kernel) matrix, so the forward pass and
+    both weight-side gradients are each one GEMM.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     B, C, L = x.shape
@@ -519,22 +581,24 @@ def conv1d(x, weight, bias, padding: int = 1) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     Lout = L + 2 * padding - K + 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)  # (B, C, Lout, K)
-    cols = windows.transpose(0, 1, 3, 2).reshape(B, C * K, Lout)
-    data = np.einsum("ok,bkl->bol", weight.data.reshape(O, C * K), cols)
-    data = data + bias.data[None, :, None]
+    cols = windows.transpose(0, 2, 1, 3).reshape(B * Lout, C * K)
+    w2 = weight.data.reshape(O, C * K)
+    out = cols @ w2.T
+    out += bias.data
+    # (batch, channels, length) in C order, so a following reshape is a view.
+    data = np.ascontiguousarray(out.reshape(B, Lout, O).transpose(0, 2, 1))
 
     def backward(g, _x=x, _w=weight, _b=bias, _cols=cols):
+        g2 = g.transpose(0, 2, 1).reshape(B * Lout, O)
         if _b.requires_grad:
-            _route(_b, g.sum(axis=(0, 2)))
+            _route(_b, g2.sum(axis=0))
         if _w.requires_grad:
-            gw = np.einsum("bol,bkl->ok", g, _cols).reshape(O, C, K)
-            _route(_w, gw)
+            _route(_w, (g2.T @ _cols).reshape(O, C, K))
         if _x.requires_grad:
-            gcols = np.einsum("ok,bol->bkl", _w.data.reshape(O, C * K), g)
-            gcols = gcols.reshape(B, C, K, Lout)
+            gcols = (g2 @ _w.data.reshape(O, C * K)).reshape(B, Lout, C, K)
             gxp = np.zeros((B, C, L + 2 * padding), dtype=_x.data.dtype)
             for k in range(K):
-                gxp[:, :, k : k + Lout] += gcols[:, :, k, :]
+                gxp[:, :, k : k + Lout] += gcols[:, :, :, k].transpose(0, 2, 1)
             _route(_x, gxp[:, :, padding : padding + L])
 
     return Tensor._from_op(data, (x, weight, bias), backward, "conv1d")

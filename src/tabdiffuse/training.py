@@ -23,6 +23,11 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite; message carries the step index and lr."""
 
 
+class NoGradientStep(RuntimeError):
+    """An optimizer step found no parameter with a gradient, so it would
+    change nothing (as when graph recording is off in the training thread)."""
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 20
@@ -101,7 +106,10 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite loss at step {step} (epoch {epoch}, lr {cfg.lr}): {err}"
                 ) from err
-            opt.step()
+            if opt.step() == 0:
+                raise NoGradientStep(
+                    f"no parameter received a gradient at step {step} (epoch {epoch})"
+                )
             batch_losses.append(loss.item())
             if on_batch is not None:
                 on_batch(step, t, batch_losses[-1])

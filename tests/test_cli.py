@@ -40,6 +40,15 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_train_without_gradients_exit_4(workdir, tmp_path):
+    from tabdiffuse.tensor import no_grad
+
+    with no_grad():  # nothing is recorded, so no step would change a weight
+        rc = main(["train", "--data", str(workdir / "data.csv"), "--arch", "mlp",
+                   "--epochs", "1", "--T", "30", "--out", str(tmp_path / "o")])
+    assert rc == 4
+
+
 def test_train_seed_repetition_identical_bytes(workdir, tmp_path):
     for out in ("a", "b"):
         rc = main([

@@ -4,7 +4,14 @@ import pytest
 from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
 from tabdiffuse.rng import Rng
 from tabdiffuse.schedule import build_cosine_schedule
-from tabdiffuse.training import TrainingConfig, TrainingDiverged, q_sample, train
+from tabdiffuse.tensor import no_grad
+from tabdiffuse.training import (
+    NoGradientStep,
+    TrainingConfig,
+    TrainingDiverged,
+    q_sample,
+    train,
+)
 
 
 def correlated_gaussian(n, rho=0.9, seed=0):
@@ -163,3 +170,49 @@ def test_float32_training_and_sampling_smoke():
     table = MaskedTable(data[:16], Rng(1).uniform((16, 2)) > 0.5)
     out = impute(den, table, SamplerOptions(t_sampling=10, n_inferences=1))
     assert np.all(np.isfinite(out))
+
+
+# -- no silent no-op steps -----------------------------------------------------------
+
+
+def _snapshot(den):
+    return {name: p.data.copy() for name, p in den.params.items()}
+
+
+def test_threaded_impute_then_train_updates_every_weight():
+    from concurrent.futures import ThreadPoolExecutor
+
+    from tabdiffuse.sampling import MaskedTable, SamplerOptions, impute
+
+    data = correlated_gaussian(128, seed=13)
+    reader = tiny_mlp(seed=2)
+    table = MaskedTable(data[:32], Rng(3).uniform((32, 2)) > 0.3)
+
+    def run(i):
+        return impute(reader, table, SamplerOptions(t_sampling=20, n_inferences=1, seed=i))
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [pool.submit(run, i) for i in range(8)]
+        for f in futures:
+            f.result(timeout=120)
+    den = tiny_mlp(seed=4)
+    before = _snapshot(den)
+    train(den, data, TrainingConfig(epochs=1, batch_size=64, t_training=50))
+    unchanged = [n for n, p in den.params.items() if np.array_equal(p.data, before[n])]
+    assert unchanged == []
+
+
+def test_step_without_any_gradient_raises():
+    data = correlated_gaussian(64, seed=14)
+    with no_grad(), pytest.raises(NoGradientStep, match="step 0"):
+        train(tiny_mlp(), data, TrainingConfig(epochs=1, batch_size=64, t_training=50))
+
+
+def test_disabled_tokenizer_alone_without_gradients_is_not_an_error():
+    data = correlated_gaussian(128, seed=15)
+    cfg = DenoiserConfig(arch="mlp", n_features=2, hidden=16, blocks=2, time_embedding=False)
+    den = build_denoiser(cfg, seed=0)
+    before = _snapshot(den)
+    train(den, data, TrainingConfig(epochs=1, batch_size=64, t_training=50))
+    unchanged = {n for n, p in den.params.items() if np.array_equal(p.data, before[n])}
+    assert unchanged == {n for n in before if n.startswith("tokenizer.")}
