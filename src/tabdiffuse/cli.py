@@ -324,8 +324,9 @@ def cmd_impute(args, resolved: str) -> int:
     t0 = time.perf_counter()
     out_scaled = impute(denoiser, table, opts, sched=sched, train_t=train_t)
     elapsed = time.perf_counter() - t0
-    plan_len = len(build_plan(sched, opts))
-    _log(f"[impute] plan steps: {plan_len - 1}, inferences: {opts.n_inferences}, "
+    plan = build_plan(sched, opts)
+    _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {opts.n_inferences}, "
+         f"network evaluations: {plan.n_denoise() * opts.n_inferences}, "
          f"wall time: {elapsed:.3f}s")
 
     out = scaler.inverse_transform(out_scaled) if scaler is not None else out_scaled

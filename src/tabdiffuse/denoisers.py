@@ -31,7 +31,7 @@ from .nn import (
 )
 from .optim import ParamStore
 from .rng import Rng
-from .tensor import Tensor, concat, relu, reshape, silu, transpose
+from .tensor import Tensor, concat, reglu_film, relu, reshape, silu, transpose
 
 ARCHITECTURES = ("mlp", "resnet", "transformer", "unet")
 
@@ -242,17 +242,12 @@ class TransformerBlock(Module):
     def forward(self, x, scale, shift, training, rng):
         # Nested calls let inference free each activation as soon as it is used.
         x = x + self.res_dropout(self.attn(self.norm1(x), training, rng), training, rng)
-        hidden = self._reglu(self.ffn_in(self.norm2(x)))
-        hidden = apply_film(hidden, reshape(scale, (-1, 1, self.ffn_hidden)),
+        hidden = reglu_film(self.ffn_in(self.norm2(x)), reshape(scale, (-1, 1, self.ffn_hidden)),
                             reshape(shift, (-1, 1, self.ffn_hidden)))
         h = self.ffn_out(self.ffn_dropout(hidden, training, rng))
         return x + self.res_dropout(h, training, rng)
 
     __call__ = forward
-
-    def _reglu(self, u: Tensor) -> Tensor:
-        """The value half of ``u`` times the rectified gate half."""
-        return u[:, :, : self.ffn_hidden] * relu(u[:, :, self.ffn_hidden :])
 
 
 class TransformerDenoiser(Denoiser):

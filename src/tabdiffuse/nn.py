@@ -17,15 +17,13 @@ from .rng import Rng
 from .tensor import (
     Tensor,
     as_tensor,
+    attention,
     gelu,
+    group_norm,
     layer_norm,
     linear,
-    matmul,
     parameter,
-    reshape,
     silu,
-    softmax,
-    transpose,
 )
 
 
@@ -123,14 +121,18 @@ class Dropout(Module):
             raise ValueError("dropout rate must be in [0, 1)")
         self.p = p
 
-    def forward(self, x: Tensor, training: bool, rng: Rng | None) -> Tensor:
+    def mask(self, shape, dtype, training: bool, rng: Rng | None) -> np.ndarray | None:
+        """The scaled keep mask for one call, or None when dropout is off."""
         if not training or self.p == 0.0:
-            return x
+            return None
         if rng is None:
             raise ValueError("training-mode dropout requires an rng")
         keep = 1.0 - self.p
-        mask = (rng.uniform(x.shape) > self.p).astype(x.data.dtype) / keep
-        return x * mask
+        return (rng.uniform(shape) > self.p).astype(dtype) / keep
+
+    def forward(self, x: Tensor, training: bool, rng: Rng | None) -> Tensor:
+        mask = self.mask(x.shape, x.data.dtype, training, rng)
+        return x if mask is None else x * mask
 
     __call__ = forward
 
@@ -186,13 +188,7 @@ class GroupNorm(Module):
         self.beta = parameter(np.zeros((channels, 1)), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        B, C, L = x.shape
-        g = reshape(x, (B, self.groups, (C // self.groups) * L))
-        mu = g.mean(axis=-1, keepdims=True)
-        gc = g - mu
-        var = (gc * gc).mean(axis=-1, keepdims=True)
-        xhat = reshape(gc * ((var + self.eps) ** -0.5), (B, C, L))
-        return xhat * self.gamma + self.beta
+        return group_norm(x, self.gamma, self.beta, self.groups, self.eps)
 
     __call__ = forward
 
@@ -204,26 +200,19 @@ class MultiHeadSelfAttention(Module):
         super().__init__()
         if dim % heads != 0:
             raise ValueError(f"dim ({dim}) not divisible by heads ({heads})")
-        self.dim, self.heads, self.head_dim = dim, heads, dim // heads
+        self.heads = heads
         self.q = Linear(dim, dim, rng, dtype)
         self.k = Linear(dim, dim, rng, dtype)
         self.v = Linear(dim, dim, rng, dtype)
         self.out = Linear(dim, dim, rng, dtype)
         self.attn_dropout = Dropout(attn_dropout)
 
-    def _split(self, x: Tensor, B: int, T: int) -> Tensor:
-        return transpose(reshape(x, (B, T, self.heads, self.head_dim)), (0, 2, 1, 3))
-
     def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
         B, T, _ = x.shape
-        # Each projection is made where it is consumed, so inference never
-        # holds q, k, v and the head outputs at once.
-        scores = matmul(self._split(self.q(x), B, T),
-                        transpose(self._split(self.k(x), B, T), (0, 1, 3, 2)))
-        probs = softmax(scores * (1.0 / math.sqrt(self.head_dim)), axis=-1)
-        probs = self.attn_dropout(probs, training, rng)
-        mixed = matmul(probs, self._split(self.v(x), B, T))  # (B, heads, T, head_dim)
-        return self.out(reshape(transpose(mixed, (0, 2, 1, 3)), (B, T, self.dim)))
+        mask = self.attn_dropout.mask((B, self.heads, T, T), x.data.dtype, training, rng)
+        return attention(x, self.q.weight, self.q.bias, self.k.weight, self.k.bias,
+                         self.v.weight, self.v.bias, self.out.weight, self.out.bias,
+                         self.heads, mask)
 
     __call__ = forward
 

@@ -126,6 +126,10 @@ class StepPlan:
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.ts[:-1], self.ts[1:]))
 
+    def n_denoise(self) -> int:
+        """Denoising steps, one network evaluation each; retraces evaluate nothing."""
+        return sum(b < a for a, b in self.pairs())
+
 
 def harmonization_plan(ddim_seq: list[int], jump_length: int, jump_n_sample: int) -> StepPlan:
     """Reverse traversal of ``ddim_seq`` with retrace jumps interleaved.

@@ -13,6 +13,7 @@ public operation validates that its result is finite and raises
 from __future__ import annotations
 
 import contextlib
+import math
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
@@ -188,16 +189,16 @@ class Tensor:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return add(-self, other)
 
     def __truediv__(self, other):
-        return mul(self, power(as_tensor(other), -1.0))
+        return mul(self, power(_like(other, self), -1.0))
 
     def __rtruediv__(self, other):
-        return mul(as_tensor(other), power(self, -1.0))
+        return mul(_like(other, self), power(self, -1.0))
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -246,6 +247,24 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _like(x, ref: Tensor) -> Tensor:
+    """``x`` as a Tensor; a constant takes ``ref``'s dtype.
+
+    NumPy promotes a float32 array with a 0-d float64 array to float64, so a
+    Python scalar wrapped at the default dtype would turn a float32 network
+    into a float64 one.
+    """
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=ref.data.dtype)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as Tensors, constants in the other's dtype."""
+    if isinstance(a, Tensor):
+        return a, _like(b, a)
+    b = as_tensor(b)
+    return _like(a, b), b
+
+
 def parameter(data, dtype=None) -> Tensor:
     """A leaf tensor that accumulates gradients."""
     return Tensor(data, requires_grad=True, dtype=dtype)
@@ -255,7 +274,7 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def backward(g, _a=a, _b=b):
@@ -268,7 +287,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
 
     def backward(g, _a=a, _b=b):
@@ -332,39 +351,167 @@ def linear(x, weight, bias) -> Tensor:
     return Tensor._from_op(data, (x, weight, bias), backward, "linear")
 
 
-def layer_norm(x, gamma, beta, eps: float) -> Tensor:
-    """Normalize over the last axis, then scale by ``gamma`` and shift by ``beta``.
+def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str) -> Tensor:
+    """xhat * gamma + beta, xhat being ``x`` normalized over the last axis of
+    ``x.reshape(view)``; gamma and beta broadcast against ``x``.
 
     The forward pass keeps the arithmetic order of the composed
     mean / subtract / variance chain, so its values are the same bits; the
     backward pass is the closed form
     r * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)), g_hat = g * gamma.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    inv_n = 1.0 / float(x.shape[-1])
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    xv = x.data.reshape(view)
+    inv_n = 1.0 / float(xv.shape[-1])
+    xhat = xv - xv.sum(axis=-1, keepdims=True) * inv_n
     var = (xhat * xhat).sum(axis=-1, keepdims=True) * inv_n
-    _check_finite(var, "layer_norm")  # an overflowed variance would zero the row, not poison it
+    _check_finite(var, op)  # an overflowed variance would zero the row, not poison it
     r = (var + eps) ** -0.5
     xhat *= r
-    data = xhat * gamma.data
+    data = xhat.reshape(x.shape) * gamma.data
     data += beta.data
 
     def backward(g, _x=x, _gamma=gamma, _beta=beta, _xhat=xhat, _r=r):
-        d = g.shape[-1]
         if _beta.requires_grad:
-            _route(_beta, g.reshape(-1, d).sum(axis=0))
+            _route(_beta, _unbroadcast(g, _beta.shape))
         if _gamma.requires_grad:
-            _route(_gamma, (g * _xhat).reshape(-1, d).sum(axis=0))
+            _route(_gamma, _unbroadcast(g * _xhat.reshape(g.shape), _gamma.shape))
         if _x.requires_grad:
-            gh = g * _gamma.data
+            gh = (g * _gamma.data).reshape(view)
             gx = gh - gh.mean(axis=-1, keepdims=True)
             gh *= _xhat
             gx -= _xhat * gh.mean(axis=-1, keepdims=True)
             gx *= _r
-            _route(_x, gx)
+            _route(_x, gx.reshape(_x.shape))
 
-    return Tensor._from_op(data, (x, gamma, beta), backward, "layer_norm")
+    return Tensor._from_op(data, (x, gamma, beta), backward, op)
+
+
+def layer_norm(x, gamma, beta, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by ``gamma`` and shift by ``beta``."""
+    x = as_tensor(x)
+    return _normalized(x, gamma, beta, x.shape, eps, "layer_norm")
+
+
+def group_norm(x, gamma, beta, groups: int, eps: float) -> Tensor:
+    """Normalize (batch, channels, length) over channel groups, then scale by
+    ``gamma`` and shift by ``beta``, both (channels, 1)."""
+    x = as_tensor(x)
+    return _normalized(x, gamma, beta, (x.shape[0], groups, -1), eps, "group_norm")
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, drop_mask=None) -> Tensor:
+    """Multi-head scaled dot-product self-attention over (batch, tokens, dim), as one node.
+
+    Each projection is one 2-D GEMM over all rows, and the score and mixing
+    products are batched over (batch, heads).  The scale and the softmax run
+    in place in the composed chain's arithmetic order, so the forward values
+    are the same bits.  ``drop_mask`` (batch, heads, tokens, tokens), if
+    given, multiplies the attention probabilities.  Every buffer a GEMM
+    produces is checked; exp(s - max) is at most 1, so the softmax needs no
+    check of its own.
+    """
+    params = tuple(as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    x, wq, bq, wk, bk, wv, bv, wo, bo = params
+    B, T, d = x.shape
+    hd = d // heads
+    x2 = x.data.reshape(-1, d)
+    keep = _grad_enabled.get() and any(p.requires_grad for p in params)
+
+    def project(w, b):  # x @ w + b as a (batch, heads, tokens, head_dim) view
+        h = x2 @ w.data
+        h += b.data
+        _check_finite(h, "attention")
+        return h.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
+
+    q, k = project(wq, bq), project(wk, bk)
+    probs = q @ k.transpose(0, 1, 3, 2)
+    _check_finite(probs, "attention")
+    if not keep:  # inference holds one projection at a time
+        q = k = None
+    scale = 1.0 / math.sqrt(hd)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs *= probs.sum(axis=-1, keepdims=True) ** -1.0
+    # the backward pass needs the probabilities before dropout
+    dropped = probs if drop_mask is None else probs * drop_mask
+    v = project(wv, bv)
+    mixed = dropped @ v
+    _check_finite(mixed, "attention")
+    if not keep:
+        probs = dropped = v = None
+    merged = mixed.transpose(0, 2, 1, 3).reshape(-1, d)
+    del mixed
+    out = merged @ wo.data
+    out += bo.data
+    data = out.reshape(B, T, d)
+
+    def backward(g, _x2=x2, _q=q, _k=k, _v=v, _p=probs, _pd=dropped, _m=drop_mask, _om=merged):
+        g2 = g.reshape(-1, d)
+        if bo.requires_grad:
+            _route(bo, g2.sum(axis=0))
+        if wo.requires_grad:
+            _route(wo, _om.T @ g2)
+        gmix = (g2 @ wo.data.T).reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
+        gv = _pd.transpose(0, 1, 3, 2) @ gmix
+        gs = gmix @ _v.transpose(0, 1, 3, 2)  # d(dropped probabilities)
+        if _m is not None:
+            gs *= _m
+        gs -= (gs * _p).sum(axis=-1, keepdims=True)  # softmax backward
+        gs *= _p
+        gs *= scale
+        gq, gk = gs @ _k, gs.transpose(0, 1, 3, 2) @ _q
+        gx = None
+        for gh, w, b in ((gq, wq, bq), (gk, wk, bk), (gv, wv, bv)):
+            gh2 = gh.transpose(0, 2, 1, 3).reshape(-1, d)
+            if b.requires_grad:
+                _route(b, gh2.sum(axis=0))
+            if w.requires_grad:
+                _route(w, _x2.T @ gh2)
+            if x.requires_grad:
+                gx = gh2 @ w.data.T if gx is None else gx + gh2 @ w.data.T
+        if x.requires_grad:
+            _route(x, gx.reshape(x.shape))
+
+    return Tensor._from_op(data, params, backward, "attention")
+
+
+def reglu_film(u, scale, shift) -> Tensor:
+    """ReGLU then FiLM, in one buffer: value * relu(gate) * (scale + 1) + shift.
+
+    The last axis of ``u`` holds the value half, then the gate half;
+    ``scale`` and ``shift`` broadcast against one half.  The arithmetic order
+    is the composed chain's, so the forward values are the same bits.
+    """
+    u = as_tensor(u)
+    scale, shift = _like(scale, u), _like(shift, u)
+    h = u.shape[-1] // 2
+    if scale.shape[-1] != h or shift.shape[-1] != h or u.shape[-1] != 2 * h:
+        raise ValueError(f"modulation dim {scale.shape[-1]} does not match features {h}")
+    value, gate = u.data[..., :h], u.data[..., h:]
+    scale1 = scale.data + 1.0
+    data = np.maximum(gate, 0.0)
+    data *= value
+    data *= scale1
+    data += shift.data
+
+    def backward(g, _u=u, _scale=scale, _shift=shift, _s1=scale1):
+        value, gate = _u.data[..., :h], _u.data[..., h:]
+        rect = np.maximum(gate, 0.0)
+        if _shift.requires_grad:
+            _route(_shift, _unbroadcast(g, _shift.shape))
+        if _scale.requires_grad:
+            _route(_scale, _unbroadcast(g * (value * rect), _scale.shape))
+        if _u.requires_grad:
+            gh = g * _s1  # d(value * relu(gate))
+            gu = np.empty_like(_u.data)
+            np.multiply(gh, rect, out=gu[..., :h])
+            np.multiply(gh, value, out=gu[..., h:])
+            gu[..., h:] *= gate > 0.0
+            _route(_u, gu)
+
+    return Tensor._from_op(data, (u, scale, shift), backward, "reglu_film")
 
 
 # -- reductions and shape ops ----------------------------------------------------

@@ -81,6 +81,29 @@ def test_impute_roundtrip_and_reproducible(workdir, tmp_path):
     assert np.all(np.isfinite(out.features))
 
 
+def test_impute_reports_network_evaluations(workdir, tmp_path, capsys, monkeypatch):
+    from tabdiffuse.denoisers import Denoiser
+
+    calls = []
+    forward = Denoiser.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Denoiser, "__call__", counted)
+    # the sampler arguments of the benchmark's impute-transformer workload
+    rc = main([
+        "impute", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+        "--data", str(workdir / "data.csv"), "--mcar", "0.3",
+        "--T-sampling", "500", "--tau", "25", "--jump-n-sample", "2",
+        "--n-inferences", "1", "--seed", "1", "--out", str(tmp_path / "n.csv"),
+    ])
+    assert rc == 0
+    assert "inferences: 1, network evaluations: 37, wall time" in capsys.readouterr().err
+    assert len(calls) == 37
+
+
 def test_impute_known_entries_pass_through(workdir, tmp_path):
     mask_path = tmp_path / "mask.csv"
     mask = Rng(3).uniform((400, 2)) > 0.4

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -7,7 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import check_gradients
+from tabdiffuse import nn
 from tabdiffuse import tensor as T
+from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
+from tabdiffuse.optim import smooth_l1
+from tabdiffuse.rng import Rng
 from tabdiffuse.tensor import NumericError, Tensor, parameter
 
 
@@ -27,6 +32,20 @@ def test_float32_selectable():
     t = Tensor([1.0, 2.0], dtype=np.float32)
     assert t.dtype == np.float32
     assert (t + t).dtype == np.float32
+    # a Python scalar takes the tensor's dtype instead of promoting it
+    for out in (t - t, -t, t * 2.0, 1.0 - t, t - 1.0, t / 2.0, 2.0 / t, t.mean()):
+        assert out.dtype == np.float32
+    d = Tensor([1.0, 2.0])
+    np.testing.assert_array_equal((1.0 - d).data, [0.0, -1.0])
+    np.testing.assert_array_equal((d / 3.0).data, d.data * np.float64(3.0) ** -1.0)
+    for arch in ("transformer", "unet"):
+        den = build_denoiser(DenoiserConfig(arch=arch, n_features=4, embed_dim=8, heads=2,
+                                            unet_channels=(4, 8), groupnorm_groups=2,
+                                            dtype="float32"), seed=0)
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        with T.no_grad():
+            assert den(x, np.array([5])).dtype == np.float32
+        assert den(x, np.array([1, 2, 3]), training=True, rng=Rng(0)).dtype == np.float32
 
 
 def test_linear_backward_matches_input():
@@ -162,6 +181,41 @@ def _conv1d_ref(x, w, b, padding):
     return np.einsum("ok,bkl->bol", w.reshape(O, C * K), cols) + b[None, :, None]
 
 
+def _group_norm_ref(x, gamma, beta, groups, eps):
+    B, C, L = x.shape
+    g = T.reshape(x, (B, groups, (C // groups) * L))
+    mu = g.mean(axis=-1, keepdims=True)
+    gc = g - mu
+    var = (gc * gc).mean(axis=-1, keepdims=True)
+    return T.reshape(gc * ((var + eps) ** -0.5), (B, C, L)) * gamma + beta
+
+
+def _attention_ref(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, dropout=lambda p: p):
+    B, n, d = x.shape
+
+    def split(h):
+        return T.transpose(T.reshape(h, (B, n, heads, d // heads)), (0, 2, 1, 3))
+
+    scores = T.matmul(split(T.linear(x, wq, bq)),
+                      T.transpose(split(T.linear(x, wk, bk)), (0, 1, 3, 2)))
+    probs = dropout(T.softmax(scores * (1.0 / math.sqrt(d // heads)), axis=-1))
+    mixed = T.matmul(probs, split(T.linear(x, wv, bv)))
+    return T.linear(T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, n, d)), wo, bo)
+
+
+def _reglu_film_ref(u, scale, shift):
+    h = u.shape[-1] // 2
+    return u[:, :, :h] * T.relu(u[:, :, h:]) * (scale + 1.0) + shift
+
+
+def _attention_args(rng, B=3, n=4, d=6):
+    """x, then (weight, bias) for q, k, v and the output projection."""
+    args = [rng.normal(size=(B, n, d))]
+    for _ in range(4):
+        args += [rng.normal(size=(d, d)) * 0.5, rng.normal(size=(d,)) * 0.5]
+    return [parameter(a) for a in args]
+
+
 def _rel_err(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
@@ -194,12 +248,100 @@ def test_conv1d_kernel_one_gradients():
     check_gradients(lambda: (T.conv1d(x, w, b, padding=0) ** 2.0).mean(), [x, w, b])
 
 
+def test_group_norm_kernel_gradients():
+    rng = np.random.default_rng(9)
+    x = parameter(rng.normal(1.0, 2.0, size=(2, 4, 5)))
+    gamma = parameter(rng.normal(size=(4, 1)))
+    beta = parameter(rng.normal(size=(4, 1)))
+    target = rng.normal(size=(2, 4, 5))
+    check_gradients(lambda: ((T.group_norm(x, gamma, beta, 2, 1e-5) - target) ** 2.0).mean(),
+                    [x, gamma, beta])
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "dropout_mask"])
+def test_attention_kernel_gradients(masked):
+    rng = np.random.default_rng(10)
+    params = _attention_args(rng)
+    mask = (rng.uniform(size=(3, 2, 4, 4)) > 0.3) / 0.7 if masked else None
+    target = rng.normal(size=(3, 4, 6))
+    check_gradients(lambda: ((T.attention(*params, 2, mask) - target) ** 2.0).mean(), params)
+
+
+def test_reglu_film_kernel_gradients():
+    rng = np.random.default_rng(11)
+    u = parameter(rng.normal(size=(3, 4, 10)))
+    scale = parameter(rng.normal(size=(3, 1, 5)))
+    shift = parameter(rng.normal(size=(3, 1, 5)))
+    check_gradients(lambda: (T.reglu_film(u, scale, shift) ** 2.0).mean(), [u, scale, shift])
+
+
+def test_reglu_film_rejects_mismatched_modulation():
+    with pytest.raises(ValueError, match="modulation dim"):
+        T.reglu_film(np.zeros((1, 2, 8)), np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+
+
 def test_layer_norm_forward_is_bitwise_the_composed_chain():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(3.0, 2.0, size=(16, 11, 24)))
     gamma, beta = Tensor(rng.normal(size=(24,))), Tensor(rng.normal(size=(24,)))
     np.testing.assert_array_equal(T.layer_norm(x, gamma, beta, 1e-5).data,
                                   _layer_norm_ref(x, gamma, beta, 1e-5).data)
+
+
+def test_group_norm_forward_is_bitwise_the_composed_chain():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(3.0, 2.0, size=(16, 32, 10)))
+    gamma, beta = Tensor(rng.normal(size=(32, 1))), Tensor(rng.normal(size=(32, 1)))
+    np.testing.assert_array_equal(T.group_norm(x, gamma, beta, 4, 1e-5).data,
+                                  _group_norm_ref(x, gamma, beta, 4, 1e-5).data)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "dropout_mask"])
+def test_attention_forward_is_bitwise_the_composed_chain(masked):
+    # the transformer's shape: 11 tokens, dim 192, 8 heads
+    rng = np.random.default_rng(13)
+    args = [Tensor(a.data) for a in _attention_args(rng, B=16, n=11, d=192)]
+    mask = (rng.uniform(size=(16, 8, 11, 11)) > 0.2) / 0.8 if masked else None
+    np.testing.assert_array_equal(
+        T.attention(*args, 8, mask).data,
+        _attention_ref(*args, 8, dropout=(lambda p: p * mask) if masked else (lambda p: p)).data)
+
+
+def test_reglu_film_forward_is_bitwise_the_composed_chain():
+    rng = np.random.default_rng(14)
+    u = Tensor(rng.normal(size=(16, 11, 512)))
+    for lead in (1, 16):  # one shared time step, or one per row
+        scale = Tensor(rng.normal(size=(lead, 1, 256)))
+        shift = Tensor(rng.normal(size=(lead, 1, 256)))
+        np.testing.assert_array_equal(T.reglu_film(u, scale, shift).data,
+                                      _reglu_film_ref(u, scale, shift).data)
+
+
+def test_transformer_training_step_matches_composed_attention(monkeypatch):
+    # attention dropout draws its mask at the point in the rng stream the
+    # composed chain's Dropout did, so training losses and streams carry over
+    cfg = DenoiserConfig(arch="transformer", n_features=5, embed_dim=16, heads=4, blocks=2,
+                         attention_dropout=0.2)
+    x = np.random.default_rng(15).normal(size=(8, 5))
+    t = np.arange(1, 9)
+    target = Tensor(np.random.default_rng(16).normal(size=(8, 5)))
+
+    def step():
+        rng = Rng(17)
+        loss = smooth_l1(build_denoiser(cfg, seed=3)(x, t, training=True, rng=rng), target)
+        return loss.item(), rng.uniform((4,))
+
+    loss, after = step()
+
+    def composed(self, a, training=False, rng=None):
+        return _attention_ref(a, self.q.weight, self.q.bias, self.k.weight, self.k.bias,
+                              self.v.weight, self.v.bias, self.out.weight, self.out.bias,
+                              self.heads, dropout=lambda p: self.attn_dropout(p, training, rng))
+
+    monkeypatch.setattr(nn.MultiHeadSelfAttention, "__call__", composed)
+    ref_loss, ref_after = step()
+    np.testing.assert_array_equal(after, ref_after)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
 
 
 def test_linear_forward_matches_matmul_plus_bias():
@@ -226,15 +368,24 @@ def test_conv1d_forward_matches_einsum(kernel):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("op", ["linear", "layer_norm", "conv1d"])
+@pytest.mark.parametrize("op", ["linear", "layer_norm", "conv1d", "group_norm", "attention",
+                                "reglu_film"])
 def test_fused_ops_reject_nonfinite_output(op):
     big = 1e308
+    # attention: q and k are finite (1e200), their scores overflow
+    eye, zero = np.eye(2), np.zeros(2)
     call = {
         "linear": lambda: T.linear(np.full((2, 3), big), np.full((3, 2), big), np.zeros(2)),
         "layer_norm": lambda: T.layer_norm(np.array([[big, -big, big]]), np.ones(3),
                                            np.zeros(3), 1e-5),
         "conv1d": lambda: T.conv1d(np.full((1, 2, 4), big), np.full((3, 2, 3), big),
                                    np.zeros(3)),
+        "group_norm": lambda: T.group_norm(np.array([[[big, -big], [big, -big]]]),
+                                           np.ones((2, 1)), np.zeros((2, 1)), 1, 1e-5),
+        "attention": lambda: T.attention(np.full((1, 2, 2), 1e200), eye, zero, eye, zero,
+                                         eye, zero, eye, zero, 1),
+        "reglu_film": lambda: T.reglu_film(np.full((1, 2, 4), 1e200), np.zeros((1, 1, 2)),
+                                           np.zeros((1, 1, 2))),
     }[op]
     with pytest.raises(NumericError, match=op):
         call()
