@@ -4,8 +4,11 @@ Protocol per (method, mask setting): draw ``n_mask_seeds`` masks; for each
 mask average ``n_inferences`` independently seeded imputations and score
 that average; report the mean of the per-mask scores.  Deterministic
 imputers are unaffected by the averaging, stochastic ones are smoothed by
-it.  Ranks are computed within each setting (1 = best, ties averaged) and
-aggregated as mean/std per method across settings.
+it.  ``average_inferences`` is the package's only loop that averages
+inferences: ``ensemble_eval`` uses it per mask, and the ``impute`` command
+uses it on the user's table.  Ranks are computed within each setting
+(1 = best, ties averaged) and aggregated as mean/std per method across
+settings.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ class EvalRow:
     pearson: float | None  # None when undefined (zero-variance imputation)
 
 
+def average_inferences(infer, n: int, seed: int) -> np.ndarray:
+    """Mean of ``infer(derive_seed(seed, i))`` over i = 0 .. n-1, summed in
+    index order from zero and then divided by ``n``."""
+    if n < 1:
+        raise ValueError(f"the number of inferences must be >= 1, got {n}")
+    return sum((infer(derive_seed(seed, i)) for i in range(n)), np.zeros(())) / n
+
+
 def ensemble_eval(
     impute_fn,
     method: str,
@@ -75,13 +86,15 @@ def ensemble_eval(
     """Score one imputer on one mask setting.
 
     ``impute_fn(x_obs, mask, seed)`` must return a single imputation; the
-    harness averages ``n_inferences`` of them per mask before scoring, so
-    the averaging order (average first, then score) is owned here.  When
-    ``imputation_sink`` is given, the first mask seed's averaged imputation
-    is stored under (method, spec.label) for downstream evaluation.
-    ``score_transform`` maps truth and imputation into the reporting space
-    (e.g. a scaler's inverse) before the metrics are computed.
+    harness averages ``n_inferences`` of them per mask (``average_inferences``)
+    before scoring, so the averaging order (average first, then score) is
+    owned here.  When ``imputation_sink`` is given, the first mask seed's
+    averaged imputation is stored under (method, spec.label) for downstream
+    evaluation.  ``score_transform`` maps truth and imputation into the
+    reporting space (e.g. a scaler's inverse) before the metrics are computed.
     """
+    if n_mask_seeds < 1:
+        raise ValueError(f"the number of mask seeds must be >= 1, got {n_mask_seeds}")
     x_true = np.asarray(x_true, dtype=np.float64)
     n_rows, n_cols = x_true.shape
     truth_scored = score_transform(x_true) if score_transform is not None else x_true
@@ -90,10 +103,8 @@ def ensemble_eval(
         mask_seed = derive_seed(base_seed, s)
         mask = spec.generate(n_rows, n_cols, mask_seed)
         x_obs = np.where(mask, x_true, 0.0)
-        acc = np.zeros_like(x_true)
-        for i in range(n_inferences):
-            acc += impute_fn(x_obs, mask, derive_seed(mask_seed, i))
-        avg = acc / n_inferences
+        avg = average_inferences(lambda seed: impute_fn(x_obs, mask, seed), n_inferences,
+                                 mask_seed)
         if imputation_sink is not None and s == 0:
             imputation_sink[(method, spec.label)] = avg
         avg_scored = score_transform(avg) if score_transform is not None else avg

@@ -16,23 +16,23 @@ import hashlib
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import BASELINE_KINDS, BaselineError, baseline_impute
-from .bench import MaskSpec, downstream_eval, ensemble_eval, rank_table, summarize
-from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (
-    MinMaxScaler,
-    gen_mar_mask,
-    gen_mcar_mask,
-    load_csv,
-    read_mask_csv,
-    split,
-    write_csv,
+from .bench import (
+    MaskSpec,
+    average_inferences,
+    downstream_eval,
+    ensemble_eval,
+    rank_table,
+    summarize,
 )
+from .checkpoint import load_checkpoint, save_checkpoint
+from .data import MinMaxScaler, load_csv, read_mask_csv, split, write_csv
 from .denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
 from .rng import derive_seed
 from .sampling import MaskedTable, SamplerOptions, build_plan, impute
@@ -221,6 +221,15 @@ def _existing(path: Path, what: str) -> Path:
     return path
 
 
+def _load_model(path: Path, n_features: int):
+    """load_checkpoint, checked against the data's feature count."""
+    loaded = load_checkpoint(_existing(path, "checkpoint"))
+    expected = loaded[0].config.n_features
+    if expected != n_features:
+        raise UsageError(f"data has {n_features} features, checkpoint {path} expects {expected}")
+    return loaded
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -291,20 +300,15 @@ def _make_mask(args, n_rows: int, n_cols: int, seed: int) -> np.ndarray:
             raise UsageError(f"mask shape {mask.shape} does not match data ({n_rows}, {n_cols})")
         return mask
     if args.mcar is not None:
-        return gen_mcar_mask(n_rows, n_cols, args.mcar, derive_seed(seed, _MASK_STREAM))
-    return gen_mar_mask(n_rows, n_cols, args.mar, derive_seed(seed, _MASK_STREAM))
+        spec = MaskSpec("mcar", p_random=args.mcar)
+    else:
+        spec = MaskSpec("mar", p_col=args.mar)
+    return spec.generate(n_rows, n_cols, derive_seed(seed, _MASK_STREAM))
 
 
 def cmd_impute(args, resolved: str) -> int:
-    ckpt_path = _existing(args.checkpoint, "checkpoint")
-    data_path = _existing(args.data, "data file")
-    denoiser, train_t, scaler, _, _ = load_checkpoint(ckpt_path)
-    ds = load_csv(data_path, target_column=args.target)
-    if ds.n_features != denoiser.config.n_features:
-        raise UsageError(
-            f"data has {ds.n_features} features, checkpoint expects "
-            f"{denoiser.config.n_features}"
-        )
+    ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
+    denoiser, train_t, scaler, _, _ = _load_model(args.checkpoint, ds.n_features)
     seed = args.seed
     mask = _make_mask(args, ds.n_rows, ds.n_features, seed)
     opts = SamplerOptions(
@@ -314,19 +318,19 @@ def cmd_impute(args, resolved: str) -> int:
         eta=args.eta,
         jump_length=args.jump_length,
         jump_n_sample=args.jump_n_sample,
-        n_inferences=args.n_inferences,
-        seed=derive_seed(seed, _SAMPLE_STREAM),
     )
 
     sched = build_cosine_schedule(opts.t_sampling)
     scaled = scaler.transform(ds.features) if scaler is not None else ds.features
     table = MaskedTable(scaled, mask)
     t0 = time.perf_counter()
-    out_scaled = impute(denoiser, table, opts, sched=sched, train_t=train_t)
+    out_scaled = average_inferences(
+        lambda s: impute(denoiser, table, replace(opts, seed=s), sched=sched, train_t=train_t),
+        args.n_inferences, derive_seed(seed, _SAMPLE_STREAM))
     elapsed = time.perf_counter() - t0
     plan = build_plan(sched, opts)
-    _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {opts.n_inferences}, "
-         f"network evaluations: {plan.n_denoise() * opts.n_inferences}, "
+    _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {args.n_inferences}, "
+         f"network evaluations: {plan.n_denoise() * args.n_inferences}, "
          f"wall time: {elapsed:.3f}s")
 
     out = scaler.inverse_transform(out_scaled) if scaler is not None else out_scaled
@@ -369,13 +373,14 @@ def _parse_grid(tokens: list[str]) -> list[MaskSpec]:
     return specs
 
 
-def _diffusion_impute_fn(denoiser, train_t, opts_base):
+def _diffusion_impute_fn(denoiser, train_t, opts):
     """Adapter: one inference of the diffusion imputer, in the checkpoint's
     model space."""
 
     def fn(x_obs, mask, seed):
-        opts = SamplerOptions(**opts_base, n_inferences=1, seed=seed)
-        return impute(denoiser, MaskedTable(x_obs, mask), opts, train_t=train_t)
+        # derive_seed(seed, 0) is the stream earlier versions' one-inference impute drew
+        opts_i = replace(opts, seed=derive_seed(seed, 0))
+        return impute(denoiser, MaskedTable(x_obs, mask), opts_i, train_t=train_t)
 
     return fn
 
@@ -405,10 +410,10 @@ def cmd_benchmark(args, resolved: str) -> int:
 
     checkpoints = {}
     for path_str in args.checkpoints:
-        denoiser, train_t, ck_scaler, _, _ = load_checkpoint(Path(path_str))
+        denoiser, train_t, ck_scaler, _, _ = _load_model(Path(path_str), ds.n_features)
         checkpoints[f"diffusion-{denoiser.config.arch}"] = (denoiser, train_t, ck_scaler)
-    opts_base = dict(t_sampling=args.T_sampling, tau=args.tau, eta=args.eta,
-                     jump_length=args.jump_length, jump_n_sample=args.jump_n_sample)
+    opts = SamplerOptions(t_sampling=args.T_sampling, tau=args.tau, eta=args.eta,
+                          jump_length=args.jump_length, jump_n_sample=args.jump_n_sample)
 
     impute_fns = {}
     for method in methods:
@@ -418,7 +423,7 @@ def cmd_benchmark(args, resolved: str) -> int:
             impute_fns[method] = (fn, 1)
         elif method in checkpoints:
             denoiser, train_t, ck_scaler = checkpoints[method]
-            fn = _diffusion_impute_fn(denoiser, train_t, opts_base)
+            fn = _diffusion_impute_fn(denoiser, train_t, opts)
             impute_fns[method] = (_in_bench_space(fn, ck_scaler, bench_scaler), args.n_inferences)
         else:
             raise UsageError(
@@ -522,40 +527,40 @@ def _write_rows_csv(path: Path, header: list[str], rows: list[list], comments: l
 
 
 def cmd_ablate(args, resolved: str) -> int:
-    denoiser, train_t, ck_scaler, _, _ = load_checkpoint(_existing(args.checkpoint, "checkpoint"))
-    arch = denoiser.config.arch
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
+    denoiser, train_t, ck_scaler, _, _ = _load_model(args.checkpoint, ds.n_features)
+    arch = denoiser.config.arch
     _, test_ds = split(ds, fraction=args.split_fraction, seed=args.seed)
     # scored in the checkpoint's scaled space
     x_true = ck_scaler.transform(test_ds.features) if ck_scaler is not None else test_ds.features
 
-    base = dict(t_sampling=args.T_sampling, tau=None, eta=args.eta, jump_length=1)
+    opts = SamplerOptions(t_sampling=args.T_sampling, eta=args.eta,
+                          jump_n_sample=args.jump_n_sample)
     if args.preset == "tau-sweep":
         # retrace depth 5 rides along, matching the published sweep protocol;
         # a skip length covering the whole axis is the plain sampler
         runs = [(f"tau={tau}", denoiser, train_t,
-                 {**base, "tau": tau if tau < args.T_sampling else None, "jump_n_sample": 5})
+                 replace(opts, tau=tau if tau < args.T_sampling else None, jump_n_sample=5))
                 for tau in TAU_SWEEP]
     elif args.preset == "harmonization":
-        runs = [(f"j={j}", denoiser, train_t, {**base, "jump_n_sample": j}) for j in (1, 5)]
+        runs = [(f"j={j}", denoiser, train_t, replace(opts, jump_n_sample=j)) for j in (1, 5)]
     else:  # no-tst
         if not args.checkpoint_no_tst:
             raise UsageError("--preset no-tst requires --checkpoint-no-tst")
-        den2, tt2, _, _, _ = load_checkpoint(_existing(args.checkpoint_no_tst, "checkpoint"))
+        den2, tt2, _, _, _ = _load_model(args.checkpoint_no_tst, ds.n_features)
         if den2.config.time_embedding:
             raise UsageError(
                 "--checkpoint-no-tst must hold a model trained with the time tokenizer disabled"
             )
         if den2.config.arch != arch:
             raise UsageError("both checkpoints must share an architecture")
-        base["jump_n_sample"] = args.jump_n_sample
-        runs = [("tst", denoiser, train_t, base), ("no-tst", den2, tt2, base)]
+        runs = [("tst", denoiser, train_t, opts), ("no-tst", den2, tt2, opts)]
 
     spec = MaskSpec("mcar", p_random=args.mcar)
     rows: list[list[str]] = []
     per_seed_rows: list[list[str]] = []
-    for label, den, tt, opts_base in runs:
-        scored = ensemble_eval(_diffusion_impute_fn(den, tt, opts_base), label, x_true, spec,
+    for label, den, tt, run_opts in runs:
+        scored = ensemble_eval(_diffusion_impute_fn(den, tt, run_opts), label, x_true, spec,
                                n_mask_seeds=args.n_mask_seeds, n_inferences=args.n_inferences,
                                base_seed=derive_seed(args.seed, _MASK_STREAM))
         rows.append([label, _fmt(np.mean([r.mse for r in scored]))])

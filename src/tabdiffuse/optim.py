@@ -42,9 +42,6 @@ class ParamStore:
         for p in self._params.values():
             p.grad = None
 
-    def n_scalars(self) -> int:
-        return sum(p.size for p in self._params.values())
-
 
 def smooth_l1(pred: Tensor, target, beta: float = 1.0) -> Tensor:
     """Mean smooth-L1 (Huber-style) loss.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import Denoiser
-from .rng import Rng, derive_seed
+from .rng import Rng
 from .schedule import (
     DiffusionSchedule,
     StepPlan,
@@ -45,7 +45,6 @@ class SamplerOptions:
     eta: float = 0.0
     jump_length: int = 1
     jump_n_sample: int = 1  # retrace depth j; 1 = no retracing
-    n_inferences: int = 5
     seed: int = 0
     # Clean-state clamp applied inside every reverse step; keeps the walk
     # bounded even for an untrained network.  None disables it.
@@ -60,8 +59,6 @@ class SamplerOptions:
             raise ValueError("eta must be >= 0")
         if self.jump_length < 1 or self.jump_n_sample < 1:
             raise ValueError("jump parameters must be >= 1")
-        if self.n_inferences < 1:
-            raise ValueError("n_inferences must be >= 1")
         if self.clip_x0 is not None and not self.clip_x0[0] < self.clip_x0[1]:
             raise ValueError("clip_x0 bounds must be ordered")
 
@@ -206,17 +203,31 @@ def _denoiser_time(t_math: int, sample_t: int, train_t: int | None) -> int:
     return max(1, round(t_math * train_t / sample_t))
 
 
-def _run_plan(
+def impute(
     denoiser: Denoiser,
-    x0: np.ndarray,
-    mask: np.ndarray,
-    sched: DiffusionSchedule,
-    plan: StepPlan,
+    table: MaskedTable,
     opts: SamplerOptions,
-    rng: Rng,
-    train_t: int | None,
+    sched: DiffusionSchedule | None = None,
+    train_t: int | None = None,
     on_step=None,
 ) -> np.ndarray:
+    """Fill the unknown region of a scaled table; known entries pass through.
+
+    Runs one inference, drawn from ``Rng(opts.seed)``; every known entry of
+    the result equals the observation exactly.  Averaging several seeded
+    inferences is the evaluation protocol's job (``bench.average_inferences``).
+    """
+    if sched is None:
+        sched = build_cosine_schedule(opts.t_sampling)
+    if table.x_obs.shape[1] != denoiser.config.n_features:
+        raise ValueError(
+            f"table has {table.x_obs.shape[1]} features, denoiser expects "
+            f"{denoiser.config.n_features}"
+        )
+    mask = table.mask
+    x0 = np.where(mask, table.x_obs, 0.0)  # placeholders at missing entries are never read
+    plan = build_plan(sched, opts)
+    rng = Rng(opts.seed)
     shape = x0.shape
     n = shape[0]
     dense = opts.tau is None
@@ -246,38 +257,4 @@ def _run_plan(
             x = harmonize_jump(sched, x, a + 1, b + 1, rng.normal(shape))
         if on_step is not None:
             on_step(b, x)
-    return x
-
-
-def impute(
-    denoiser: Denoiser,
-    table: MaskedTable,
-    opts: SamplerOptions,
-    sched: DiffusionSchedule | None = None,
-    train_t: int | None = None,
-    on_step=None,
-) -> np.ndarray:
-    """Fill the unknown region of a scaled table; known entries pass through.
-
-    Runs ``opts.n_inferences`` independently seeded inferences and returns
-    their mean (in inference-index order); every known entry of the result
-    equals the observation exactly.
-    """
-    if sched is None:
-        sched = build_cosine_schedule(opts.t_sampling)
-    if table.x_obs.shape[1] != denoiser.config.n_features:
-        raise ValueError(
-            f"table has {table.x_obs.shape[1]} features, denoiser expects "
-            f"{denoiser.config.n_features}"
-        )
-    mask = table.mask
-    x0 = np.where(mask, table.x_obs, 0.0)  # placeholders at missing entries are never read
-    plan = build_plan(sched, opts)
-    acc = np.zeros_like(x0)
-    for i in range(opts.n_inferences):
-        rng = Rng(derive_seed(opts.seed, i))
-        acc += _run_plan(denoiser, x0, mask, sched, plan, opts, rng, train_t,
-                         on_step=on_step if i == 0 else None)
-    out = acc / opts.n_inferences
-    out[mask] = table.x_obs[mask]
-    return out
+    return np.where(mask, table.x_obs, x)

@@ -52,13 +52,15 @@ class TrainingConfig:
 def q_sample(sched: DiffusionSchedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Diffuse clean rows to their per-row time steps.
 
-    x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, with t in [1, T] per row.
+    x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, with t in [1, T] per row,
+    computed in float64 and returned in x0's floating dtype.
     """
     t = np.atleast_1d(np.asarray(t))
     if np.any(t < 1) or np.any(t > sched.T):
         raise IndexError(f"time steps must lie in [1, {sched.T}]")
     abar = sched.alpha_bar[t - 1][:, None]
-    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    return x_t.astype(np.result_type(x0, 0.0), copy=False)
 
 
 def train(

@@ -7,13 +7,20 @@ per session; every number here is deterministic given the frozen seeds.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import check_gradients
 from tabdiffuse.baselines import baseline_impute
-from tabdiffuse.bench import MaskSpec, average_ranks, ensemble_eval, rank_table
+from tabdiffuse.bench import (
+    MaskSpec,
+    average_inferences,
+    average_ranks,
+    ensemble_eval,
+    rank_table,
+)
 from tabdiffuse.cli import main
 from tabdiffuse.data import MinMaxScaler, gen_mar_mask, gen_mcar_mask, write_csv
 from tabdiffuse.denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
@@ -159,7 +166,7 @@ def test_criterion_2b_full_trajectories_agree():
     m = Rng(30).uniform((5, 2)) > 0.5
     table = MaskedTable(x, m)
     T = 500
-    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2, n_inferences=1, seed=11)
+    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2, seed=11)
     states = {}
     for key, opts in (
         ("ddpm", SamplerOptions(**base)),
@@ -228,8 +235,7 @@ def test_criterion_3_known_region_exact_on_100_masks():
             else:
                 mask = gen_mar_mask(40, 6, p, mask_seed)
             table = MaskedTable(x, mask)
-            opts = SamplerOptions(t_sampling=25, n_inferences=2,
-                                  jump_n_sample=2, seed=mask_seed)
+            opts = SamplerOptions(t_sampling=25, jump_n_sample=2, seed=mask_seed)
             out = impute(den, table, opts)
             np.testing.assert_array_equal(out[mask], x[mask])
             checked += 1
@@ -264,7 +270,7 @@ def test_criterion_5_beats_mean_imputation(benchmark_model):
 
     def diff_fn(x_obs, mask, seed):
         return impute(bm["denoiser"], MaskedTable(x_obs, mask),
-                      SamplerOptions(t_sampling=500, n_inferences=1, seed=seed),
+                      SamplerOptions(t_sampling=500, seed=derive_seed(seed, 0)),
                       train_t=1000)
 
     def mean_fn(x_obs, mask, seed):
@@ -290,13 +296,12 @@ def _sweep_mse(bm, tau, jump_n_sample, mask_seed, eta, n_inferences=5):
     test_s = bm["test_s"]
     mask = gen_mcar_mask(*test_s.shape, 0.3, mask_seed)
     table = MaskedTable(np.where(mask, test_s, 0.0), mask)
-    acc = np.zeros_like(test_s)
-    for i in range(n_inferences):
-        opts = SamplerOptions(t_sampling=500, tau=tau, jump_length=1,
-                              jump_n_sample=jump_n_sample, eta=eta,
-                              n_inferences=1, seed=derive_seed(mask_seed, i))
-        acc += impute(bm["denoiser"], table, opts, train_t=1000)
-    avg = acc / n_inferences
+    opts = SamplerOptions(t_sampling=500, tau=tau, jump_length=1,
+                          jump_n_sample=jump_n_sample, eta=eta)
+    avg = average_inferences(
+        lambda s: impute(bm["denoiser"], table, replace(opts, seed=derive_seed(s, 0)),
+                         train_t=1000),
+        n_inferences, mask_seed)
     d = test_s[~mask] - avg[~mask]
     return float(np.mean(d * d))
 

@@ -606,3 +606,71 @@ def test_command_line_flags_win_over_config_file(workdir, tmp_path):
     text = (out_dir / "run_config.txt").read_text().splitlines()
     assert "seed = 0" in text  # a flag equal to its default still wins
     assert f"checkpoints = {ckpt}" in text
+
+
+def _command_argv(command, workdir, tmp_path, data=None):
+    """A small valid run of ``command`` on the module's checkpoint (and table)."""
+    ckpt = str(workdir / "run" / "checkpoint.ckpt")
+    data = str(data or workdir / "data.csv")
+    if command == "impute":
+        return ["impute", "--checkpoint", ckpt, "--data", data, "--mcar", "0.3",
+                "--T-sampling", "10", "--n-inferences", "1", "--out", str(tmp_path / "o.csv")]
+    if command == "benchmark":
+        return ["benchmark", "--data", data, "--methods", "mean,diffusion-mlp",
+                "--checkpoint", ckpt, "--grid", "mcar=30", "--n-mask-seeds", "1",
+                "--n-inferences", "1", "--T-sampling", "10", "--out-dir", str(tmp_path / "o")]
+    return ["ablate", "--checkpoint", ckpt, "--data", data, "--preset", "harmonization",
+            "--T-sampling", "10", "--n-mask-seeds", "1", "--n-inferences", "1",
+            "--out-dir", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("impute", "--n-inferences"),
+    ("benchmark", "--n-inferences"),
+    ("benchmark", "--n-mask-seeds"),
+    ("ablate", "--n-inferences"),
+    ("ablate", "--n-mask-seeds"),
+])
+def test_counts_below_one_exit_2(workdir, tmp_path, capsys, command, flag):
+    argv = _command_argv(command, workdir, tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert ("mask seeds" if flag == "--n-mask-seeds" else "inferences") in err
+    assert "must be >= 1, got 0" in err
+
+
+@pytest.fixture(scope="module")
+def three_features(workdir):
+    """A 3-feature table and a checkpoint trained on it without the time tokenizer."""
+    root = workdir / "three"
+    root.mkdir()
+    x = Rng(7).uniform((120, 3))
+    write_csv(root / "data.csv", x, ["a", "b", "c"])
+    rc = main(["train", "--data", str(root / "data.csv"), "--arch", "mlp", "--epochs", "1",
+               "--T", "30", "--blocks", "1", "--hidden", "8", "--no-time-embedding",
+               "--out", str(root / "run")])
+    assert rc == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["impute", "benchmark", "ablate"])
+def test_checkpoint_feature_count_mismatch_exit_2(workdir, three_features, tmp_path, capsys,
+                                                  command):
+    argv = _command_argv(command, workdir, tmp_path, data=three_features / "data.csv")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data has 3 features" in err and "expects 2" in err
+    assert "broadcast" not in err
+
+
+def test_ablate_no_tst_checkpoint_feature_count_mismatch_exit_2(workdir, three_features,
+                                                                tmp_path, capsys):
+    argv = _command_argv("ablate", workdir, tmp_path)
+    argv[argv.index("harmonization")] = "no-tst"
+    argv += ["--checkpoint-no-tst", str(three_features / "run" / "checkpoint.ckpt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data has 2 features" in err and "expects 3" in err

@@ -4,6 +4,7 @@ import pytest
 from tabdiffuse.bench import (
     EvalRow,
     MaskSpec,
+    average_inferences,
     average_ranks,
     downstream_eval,
     ensemble_eval,
@@ -11,7 +12,7 @@ from tabdiffuse.bench import (
     summarize,
 )
 from tabdiffuse.metrics import accuracy, mse_missing, pearson_missing, rmse
-from tabdiffuse.rng import Rng
+from tabdiffuse.rng import Rng, derive_seed
 
 
 # -- imputation metrics ---------------------------------------------------------
@@ -188,6 +189,38 @@ def test_ensemble_eval_average_then_score_hand_case():
     truth = x[~mask]
     expect = float(np.mean((truth - 0.5) ** 2))
     assert rows[0].mse == pytest.approx(expect, rel=1e-12)
+
+
+def test_average_inferences_sums_the_derived_streams_in_order():
+    seen = []
+
+    def infer(seed):
+        seen.append(seed)
+        return np.full((2, 3), float(len(seen)))
+
+    out = average_inferences(infer, 4, seed=17)
+    assert seen == [derive_seed(17, i) for i in range(4)]
+    np.testing.assert_array_equal(out, np.full((2, 3), (1.0 + 2.0 + 3.0 + 4.0) / 4))
+    # summed from a float64 zero, so a float32 imputer is averaged in float64
+    one = np.float32(0.1)
+    avg = average_inferences(lambda s: np.full(2, one), 3, seed=0)
+    assert avg.dtype == np.float64
+    np.testing.assert_array_equal(avg, (0.0 + float(one) + float(one) + float(one)) / 3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_average_inferences_rejects_fewer_than_one(n):
+    calls = []
+    with pytest.raises(ValueError, match="inferences"):
+        average_inferences(lambda s: calls.append(s), n, seed=0)
+    assert calls == []
+
+
+def test_ensemble_eval_rejects_fewer_than_one_mask_seed():
+    x = Rng(2).uniform((10, 2))
+    with pytest.raises(ValueError, match="mask seeds"):
+        ensemble_eval(lambda x_obs, mask, seed: x_obs, "id", x, MaskSpec("mcar", p_random=0.5),
+                      n_mask_seeds=0)
 
 
 def test_ensemble_eval_mask_seeds_differ():

@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tabdiffuse.bench import average_inferences
 from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
 from tabdiffuse.rng import Rng, derive_seed
 from tabdiffuse.sampling import (
     MaskedTable,
     SamplerOptions,
-    _run_plan,
     build_plan,
     combine,
     ddpm_step,
@@ -192,8 +193,6 @@ def test_sampler_options_validation():
         SamplerOptions(eta=-0.1)
     with pytest.raises(ValueError):
         SamplerOptions(jump_length=0)
-    with pytest.raises(ValueError):
-        SamplerOptions(n_inferences=0)
 
 
 def test_masked_table_validation():
@@ -226,7 +225,7 @@ def test_impute_all_known_returns_observations():
     den = tiny_denoiser()
     x = Rng(21).uniform((6, 2))
     table = MaskedTable(x, np.ones((6, 2), dtype=bool))
-    opts = SamplerOptions(t_sampling=20, n_inferences=2, seed=3)
+    opts = SamplerOptions(t_sampling=20, seed=3)
     np.testing.assert_array_equal(impute(den, table, opts), x)
 
 
@@ -235,7 +234,7 @@ def test_impute_deterministic_given_seed():
     x = Rng(22).uniform((5, 2))
     m = Rng(23).uniform((5, 2)) > 0.4
     table = MaskedTable(x, m)
-    opts = SamplerOptions(t_sampling=25, n_inferences=2, seed=9)
+    opts = SamplerOptions(t_sampling=25, seed=9)
     np.testing.assert_array_equal(impute(den, table, opts), impute(den, table, opts))
 
 
@@ -246,7 +245,7 @@ def test_impute_known_entries_exact_and_placeholders_ignored():
     x_with_nan = x.copy()
     x_with_nan[~m] = np.nan  # placeholders must never be read
     table = MaskedTable(x_with_nan, m)
-    opts = SamplerOptions(t_sampling=30, n_inferences=1, seed=1)
+    opts = SamplerOptions(t_sampling=30, seed=1)
     out = impute(den, table, opts)
     np.testing.assert_array_equal(out[m], x[m])
     assert np.all(np.isfinite(out))
@@ -257,7 +256,7 @@ def test_impute_untrained_net_stays_bounded():
     x = Rng(26).normal((20, 2))  # standardized-ish data
     m = Rng(27).uniform((20, 2)) > 0.5
     table = MaskedTable(x, m)
-    opts = SamplerOptions(t_sampling=200, n_inferences=1, seed=4)
+    opts = SamplerOptions(t_sampling=200, seed=4)
     out = impute(den, table, opts)
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out) <= 10.0)
@@ -268,8 +267,7 @@ def test_impute_visits_exactly_the_plan():
     x = Rng(28).uniform((4, 2))
     m = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=bool)
     table = MaskedTable(x, m)
-    opts = SamplerOptions(t_sampling=40, tau=8, jump_length=1, jump_n_sample=3,
-                          n_inferences=1, seed=2)
+    opts = SamplerOptions(t_sampling=40, tau=8, jump_length=1, jump_n_sample=3, seed=2)
     sched = build_cosine_schedule(opts.t_sampling)
     visited = []
     impute(den, table, opts, sched=sched, on_step=lambda t, state: visited.append(t))
@@ -282,7 +280,7 @@ def test_dense_ddim_eta1_trajectory_matches_ddpm():
     m = Rng(30).uniform((5, 2)) > 0.5
     table = MaskedTable(x, m)
     T = 60
-    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2, n_inferences=1, seed=11)
+    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2, seed=11)
     opts_ddpm = SamplerOptions(**base)  # tau None -> ancestral steps
     opts_ddim = SamplerOptions(tau=T, eta=1.0, **base)  # same dense plan via skip steps
     states_a, states_b = [], []
@@ -298,18 +296,13 @@ def test_ensemble_mean_is_arithmetic_mean_of_streams():
     x = Rng(31).uniform((4, 2))
     m = Rng(32).uniform((4, 2)) > 0.5
     table = MaskedTable(x, m)
-    opts = SamplerOptions(t_sampling=15, n_inferences=3, seed=21)
-    sched = build_cosine_schedule(opts.t_sampling)
-    out = impute(den, table, opts, sched=sched)
-    plan = build_plan(sched, opts)
-    x0 = np.where(m, x, 0.0)
-    singles = [
-        _run_plan(den, x0, m, sched, plan, opts, Rng(derive_seed(opts.seed, i)), None)
-        for i in range(3)
-    ]
+    opts = SamplerOptions(t_sampling=15)
+    out = average_inferences(lambda s: impute(den, table, replace(opts, seed=s)), 3, 21)
+    singles = [impute(den, table, replace(opts, seed=derive_seed(21, i))) for i in range(3)]
+    assert not np.array_equal(singles[0], singles[1])  # the streams differ
     manual = np.mean(singles, axis=0)
-    manual[m] = x[m]
     assert np.max(np.abs(out - manual)) <= 1e-12
+    np.testing.assert_array_equal(singles[0][m], x[m])
 
 
 def test_time_axis_rescaling_feeds_training_scale():
@@ -325,7 +318,7 @@ def test_time_axis_rescaling_feeds_training_scale():
     den.forward = spy
     x = Rng(33).uniform((3, 2))
     table = MaskedTable(x, np.array([[1, 0]] * 3, dtype=bool))
-    opts = SamplerOptions(t_sampling=50, n_inferences=1, seed=0)
+    opts = SamplerOptions(t_sampling=50, seed=0)
     impute(den, table, opts, train_t=1000)
     assert max(seen) == 1000  # top of the sampling axis maps to the training axis
     seen.clear()
@@ -343,7 +336,7 @@ def test_feature_count_mismatch_rejected():
 def test_dense_quad_subset_rejected_with_clear_message():
     den = tiny_denoiser()
     table = MaskedTable(np.ones((3, 2)), np.ones((3, 2), dtype=bool))
-    opts = SamplerOptions(t_sampling=500, tau=400, skip_type="quad", n_inferences=1)
+    opts = SamplerOptions(t_sampling=500, tau=400, skip_type="quad")
     with pytest.raises(ValueError, match="strictly ascending"):
         impute(den, table, opts)
 

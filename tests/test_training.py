@@ -59,6 +59,21 @@ def test_q_sample_variance_monte_carlo():
     assert abs(out.mean() - np.sqrt(abar) * 0.7) <= 3 * np.sqrt(expect_var / n)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_q_sample_keeps_the_table_dtype(dtype):
+    sched = build_cosine_schedule(100)
+    x0 = Rng(2).uniform((6, 3))
+    eps = Rng(3).normal((6, 3))
+    t = np.array([1, 10, 25, 50, 75, 100])
+    abar = sched.alpha_bar[t - 1][:, None]
+    out = q_sample(sched, x0.astype(dtype), t, eps)
+    assert out.dtype == dtype
+    # float64 arithmetic, rounded once to the table's dtype
+    x0_in = x0.astype(dtype).astype(np.float64)
+    expect = (np.sqrt(abar) * x0_in + np.sqrt(1.0 - abar) * eps).astype(dtype)
+    np.testing.assert_array_equal(out, expect)
+
+
 def test_q_sample_range_check():
     sched = build_cosine_schedule(10)
     with pytest.raises(IndexError):
@@ -168,7 +183,7 @@ def test_float32_training_and_sampling_smoke():
     history = train(den, data, TrainingConfig(epochs=1, batch_size=64, t_training=30))
     assert np.isfinite(history[0])
     table = MaskedTable(data[:16], Rng(1).uniform((16, 2)) > 0.5)
-    out = impute(den, table, SamplerOptions(t_sampling=10, n_inferences=1))
+    out = impute(den, table, SamplerOptions(t_sampling=10))
     assert np.all(np.isfinite(out))
 
 
@@ -189,7 +204,7 @@ def test_threaded_impute_then_train_updates_every_weight():
     table = MaskedTable(data[:32], Rng(3).uniform((32, 2)) > 0.3)
 
     def run(i):
-        return impute(reader, table, SamplerOptions(t_sampling=20, n_inferences=1, seed=i))
+        return impute(reader, table, SamplerOptions(t_sampling=20, seed=i))
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         futures = [pool.submit(run, i) for i in range(8)]
