@@ -34,6 +34,7 @@ from .bench import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import MinMaxScaler, load_csv, read_mask_csv, split, write_csv
 from .denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
+from .parallel import shard_count
 from .rng import derive_seed
 from .sampling import MaskedTable, SamplerOptions, build_plan, impute
 from .schedule import build_cosine_schedule
@@ -144,6 +145,19 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _count(noun: str):
+    """The type of a count option: an int of at least 1, so that a bad count
+    stops the command before it writes anything."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"the number of {noun} must be >= 1, got {value}")
+        return value
+
+    return count
+
+
 def _names(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(","))
 
@@ -194,7 +208,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             raise UsageError(f"unknown config key [{args.command}] {key}")
         try:
             defaults[action.dest] = _config_value(action, text)
-        except ValueError as err:
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise UsageError(f"config [{args.command}] {key}: {err}") from None
     sub.set_defaults(**defaults)
 
@@ -331,7 +345,7 @@ def cmd_impute(args, resolved: str) -> int:
     plan = build_plan(sched, opts)
     _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {args.n_inferences}, "
          f"network evaluations: {plan.n_denoise() * args.n_inferences}, "
-         f"wall time: {elapsed:.3f}s")
+         f"wall time: {elapsed:.3f}s, shards: {shard_count(denoiser, ds.n_rows)}")
 
     out = scaler.inverse_transform(out_scaled) if scaler is not None else out_scaled
     out[mask] = ds.features[mask]  # observations pass through verbatim
@@ -608,7 +622,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--T-sampling", type=int, default=500)
         p.add_argument("--eta", type=float, default=0.0)
         p.add_argument("--jump-n-sample", type=int, default=1)
-        p.add_argument("--n-inferences", type=int, default=5)
+        p.add_argument("--n-inferences", type=_count("inferences"), default=5)
         if plan:
             p.add_argument("--tau", type=int, default=None,
                            help="skip-subset length (fast sampling)")
@@ -630,7 +644,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--unet-channels", type=_ints, default=(16, 32))
     p_train.add_argument("--dtype", choices=("float64", "float32"), default="float64")
     p_train.add_argument("--no-time-embedding", dest="time_embedding", action="store_false")
-    p_train.add_argument("--checkpoint-every", type=int, default=None)
+    p_train.add_argument("--checkpoint-every", type=_count("epochs between checkpoints"),
+                         default=None)
 
     p_imp = command("impute", "fill missing entries with a trained model", "--out",
                     "imputed CSV path")
@@ -649,9 +664,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid", nargs="+", default=["mcar=10..90"],
                          help="e.g. mcar=10..90 mar=1..4 or mcar=30,50")
     p_bench.add_argument("--split-fraction", type=float, default=0.8)
-    p_bench.add_argument("--n-mask-seeds", type=int, default=5)
+    p_bench.add_argument("--n-mask-seeds", type=_count("mask seeds"), default=5)
     p_bench.add_argument("--report-space", choices=("scaled", "raw"), default="scaled")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=_count("jobs"), default=1)
     add_sampler_flags(p_bench)
 
     p_abl = command("ablate", "time-embedding / retrace / skip-length sweeps", "--out-dir")
@@ -661,7 +676,7 @@ def make_parser() -> argparse.ArgumentParser:
                        required=True)
     p_abl.add_argument("--mcar", type=float, default=0.3)
     p_abl.add_argument("--split-fraction", type=float, default=0.8)
-    p_abl.add_argument("--n-mask-seeds", type=int, default=5)
+    p_abl.add_argument("--n-mask-seeds", type=_count("mask seeds"), default=5)
     add_sampler_flags(p_abl, plan=False)
     return parser
 

@@ -104,6 +104,12 @@ class Denoiser(Module):
             self._store = self.param_store()
         return self._store
 
+    @property
+    def row_cost(self) -> int:
+        """Activation elements one row carries through the widest hidden state;
+        how much work a row is, for deciding whether to shard a batch."""
+        raise NotImplementedError
+
     def forward(self, x, t, training: bool = False, rng: Rng | None = None) -> Tensor:
         raise NotImplementedError
 
@@ -138,7 +144,7 @@ def film_pair(tokenizer: TimeStepTokenizer, t: np.ndarray) -> tuple[Tensor, Tens
 class TimeStepMLPBlock(Module):
     """Dropout(ReLU(FiLM(Linear(x)))) with the modulation from the tokenizer."""
 
-    def __init__(self, in_dim: int, width: int, drop: float, rng: Rng, dtype):
+    def __init__(self, in_dim: int, width: int, drop: float, rng: Rng | None, dtype):
         super().__init__()
         self.linear = Linear(in_dim, width, rng, dtype)
         self.dropout = Dropout(drop)
@@ -153,7 +159,7 @@ class TimeStepMLPBlock(Module):
 class MLPDenoiser(Denoiser):
     """Stack of time-modulated MLP blocks with a linear head."""
 
-    def __init__(self, config: DenoiserConfig, rng: Rng):
+    def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
         k, w, dt = config.n_features, config.resolved_hidden, config.np_dtype
         self.tokenizer = TimeStepTokenizer(w, rng, enabled=config.time_embedding, dtype=dt)
@@ -164,6 +170,10 @@ class MLPDenoiser(Denoiser):
         ]
         self.blocks = ModuleList(blocks)
         self.head = Linear(w, k, rng, dt)
+
+    @property
+    def row_cost(self) -> int:
+        return self.config.resolved_hidden
 
     def forward(self, x, t, training=False, rng=None):
         scale, shift = film_pair(self.tokenizer, t)
@@ -176,7 +186,7 @@ class MLPDenoiser(Denoiser):
 class ResNetBlock(Module):
     """x + Dropout(Linear(TimeStepMLP(BatchNorm(x))))."""
 
-    def __init__(self, width: int, config: DenoiserConfig, rng: Rng):
+    def __init__(self, width: int, config: DenoiserConfig, rng: Rng | None):
         super().__init__()
         dt = config.np_dtype
         self.norm = BatchNorm1d(width, dtype=dt)
@@ -192,7 +202,7 @@ class ResNetBlock(Module):
 
 
 class ResNetDenoiser(Denoiser):
-    def __init__(self, config: DenoiserConfig, rng: Rng):
+    def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
         k, w, dt = config.n_features, config.resolved_hidden, config.np_dtype
         self.tokenizer = TimeStepTokenizer(w, rng, enabled=config.time_embedding, dtype=dt)
@@ -200,6 +210,10 @@ class ResNetDenoiser(Denoiser):
         self.blocks = ModuleList([ResNetBlock(w, config, rng) for _ in range(config.blocks)])
         self.out_norm = BatchNorm1d(w, dtype=dt)
         self.head = Linear(w, k, rng, dt)
+
+    @property
+    def row_cost(self) -> int:
+        return self.config.resolved_hidden
 
     def forward(self, x, t, training=False, rng=None):
         scale, shift = film_pair(self.tokenizer, t)
@@ -212,7 +226,7 @@ class ResNetDenoiser(Denoiser):
 class FeatureTokenizer(Module):
     """Per-feature affine lift of scalar entries to embed_dim token vectors."""
 
-    def __init__(self, k: int, d: int, rng: Rng, dtype):
+    def __init__(self, k: int, d: int, rng: Rng | None, dtype):
         super().__init__()
         self.weight = Tensor(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0), True, dtype)
         self.bias = Tensor(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0), True, dtype)
@@ -227,7 +241,7 @@ class FeatureTokenizer(Module):
 class TransformerBlock(Module):
     """Pre-norm attention and a gated, time-modulated feed-forward."""
 
-    def __init__(self, config: DenoiserConfig, rng: Rng):
+    def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__()
         d, dt = config.embed_dim, config.np_dtype
         self.ffn_hidden = math.ceil(config.ffn_factor * d)
@@ -257,7 +271,7 @@ class TransformerDenoiser(Denoiser):
     before the head so each output coordinate stays tied to its feature.
     """
 
-    def __init__(self, config: DenoiserConfig, rng: Rng):
+    def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
         k, d, dt = config.n_features, config.embed_dim, config.np_dtype
         ffn_hidden = math.ceil(config.ffn_factor * d)
@@ -267,6 +281,10 @@ class TransformerDenoiser(Denoiser):
         self.blocks = ModuleList([TransformerBlock(config, rng) for _ in range(config.blocks)])
         self.out_norm = LayerNorm(d, dtype=dt)
         self.head = Linear(d, 1, rng, dt)
+
+    @property
+    def row_cost(self) -> int:
+        return (self.config.n_features + 1) * self.config.embed_dim  # feature tokens + CLS
 
     def forward(self, x, t, training=False, rng=None):
         B, k = x.shape
@@ -284,7 +302,7 @@ class UNetStage(Module):
     """Conv -> GroupNorm -> FiLM -> SiLU -> Conv -> GroupNorm -> SiLU, residual,
     then self-attention over feature positions."""
 
-    def __init__(self, in_ch: int, out_ch: int, config: DenoiserConfig, rng: Rng):
+    def __init__(self, in_ch: int, out_ch: int, config: DenoiserConfig, rng: Rng | None):
         super().__init__()
         dt = config.np_dtype
         g = config.groupnorm_groups
@@ -316,14 +334,16 @@ class UNetStage(Module):
 
 
 class _Conv1d(Module):
-    def __init__(self, in_ch: int, out_ch: int, rng: Rng, dtype, kernel: int = 3):
+    def __init__(self, in_ch: int, out_ch: int, rng: Rng | None, dtype, kernel: int = 3):
         super().__init__()
         fan_in = in_ch * kernel
         gain = 1.0 / math.sqrt(3.0)  # fan-in uniform, same family as Linear
         self.weight = Tensor(
             nn.kaiming_uniform(rng, (out_ch, in_ch, kernel), fan_in, gain), True, dtype
         )
-        self.bias = Tensor((2.0 * rng.uniform((out_ch,)) - 1.0) / math.sqrt(fan_in), True, dtype)
+        bias = (np.zeros(out_ch) if rng is None
+                else (2.0 * rng.uniform((out_ch,)) - 1.0) / math.sqrt(fan_in))
+        self.bias = Tensor(bias, True, dtype)
         self.padding = (kernel - 1) // 2
 
     def forward(self, x: Tensor) -> Tensor:
@@ -343,7 +363,7 @@ class UNetDenoiser(Denoiser):
     upsampled path and the matching encoder output.
     """
 
-    def __init__(self, config: DenoiserConfig, rng: Rng):
+    def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
         chans, dt = config.unet_channels, config.np_dtype
         self.encoders = ModuleList(
@@ -357,6 +377,10 @@ class UNetDenoiser(Denoiser):
             decs.append(UNetStage(2 * chans[i], out_ch, config, rng))
         self.decoders = ModuleList(decs)
         self.head = Linear(chans[0], 1, rng, dt)
+
+    @property
+    def row_cost(self) -> int:
+        return self.config.n_features * max(self.config.unet_channels)
 
     def forward(self, x, t, training=False, rng=None):
         B, k = x.shape
@@ -372,9 +396,13 @@ class UNetDenoiser(Denoiser):
         return reshape(out, (B, k))
 
 
-def build_denoiser(config: DenoiserConfig, seed: int = 0) -> Denoiser:
-    """Construct and initialize a denoiser; same (config, seed) -> same weights."""
-    rng = Rng(seed)
+def build_denoiser(config: DenoiserConfig, seed: int | None = 0) -> Denoiser:
+    """Construct and initialize a denoiser; same (config, seed) -> same weights.
+
+    ``seed`` None draws nothing and leaves every random-initialized weight
+    zero, for a checkpoint to fill.
+    """
+    rng = None if seed is None else Rng(seed)
     cls = {
         "mlp": MLPDenoiser,
         "resnet": ResNetDenoiser,

@@ -82,8 +82,14 @@ class ModuleList(Module):
 # -- initialization -----------------------------------------------------------
 
 
-def kaiming_uniform(rng: Rng, shape, fan_in: int, gain: float = math.sqrt(2.0)):
-    """Fan-in scaled uniform init, U(-bound, bound] with bound = gain*sqrt(3/fan_in)."""
+def kaiming_uniform(rng: Rng | None, shape, fan_in: int, gain: float = math.sqrt(2.0)):
+    """Fan-in scaled uniform init, U(-bound, bound] with bound = gain*sqrt(3/fan_in).
+
+    With ``rng`` None the values are zeros and nothing is drawn: the network
+    is being built for a checkpoint to fill.
+    """
+    if rng is None:
+        return np.zeros(shape)
     bound = gain * math.sqrt(3.0 / max(fan_in, 1))
     return (2.0 * rng.uniform(shape) - 1.0) * bound
 
@@ -98,13 +104,14 @@ class Linear(Module):
     ``gain=sqrt(2)`` for the hotter rectifier variant.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: Rng, dtype=np.float64,
+    def __init__(self, in_dim: int, out_dim: int, rng: Rng | None, dtype=np.float64,
                  gain: float = 1.0 / math.sqrt(3.0)):
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
         self.weight = parameter(kaiming_uniform(rng, (in_dim, out_dim), in_dim, gain), dtype=dtype)
         bb = 1.0 / math.sqrt(in_dim)
-        self.bias = parameter((2.0 * rng.uniform((out_dim,)) - 1.0) * bb, dtype=dtype)
+        bias = np.zeros(out_dim) if rng is None else (2.0 * rng.uniform((out_dim,)) - 1.0) * bb
+        self.bias = parameter(bias, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -196,7 +203,8 @@ class GroupNorm(Module):
 class MultiHeadSelfAttention(Module):
     """Standard scaled dot-product self-attention over (batch, tokens, dim)."""
 
-    def __init__(self, dim: int, heads: int, attn_dropout: float, rng: Rng, dtype=np.float64):
+    def __init__(self, dim: int, heads: int, attn_dropout: float, rng: Rng | None,
+                 dtype=np.float64):
         super().__init__()
         if dim % heads != 0:
             raise ValueError(f"dim ({dim}) not divisible by heads ({heads})")
@@ -252,7 +260,7 @@ class TimeStepTokenizer(Module):
     When disabled, emits zeros so time conditioning becomes the identity.
     """
 
-    def __init__(self, kprime: int, rng: Rng, enabled: bool = True, dtype=np.float64):
+    def __init__(self, kprime: int, rng: Rng | None, enabled: bool = True, dtype=np.float64):
         super().__init__()
         self.kprime = kprime
         self.enabled = enabled

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import Denoiser
+from .parallel import sharded_eval
 from .rng import Rng
 from .schedule import (
     DiffusionSchedule,
@@ -32,7 +33,6 @@ from .schedule import (
     harmonization_plan,
     skip_seq,
 )
-from .tensor import no_grad
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,8 @@ def impute(
     Runs one inference, drawn from ``Rng(opts.seed)``; every known entry of
     the result equals the observation exactly.  Averaging several seeded
     inferences is the evaluation protocol's job (``bench.average_inferences``).
+    Each network evaluation runs in row shards (``parallel.sharded_eval``),
+    which give the same bits as one unsharded call.
     """
     if sched is None:
         sched = build_cosine_schedule(opts.t_sampling)
@@ -237,24 +239,28 @@ def impute(
     x = combine(noisy_known(sched, x0, top + 1, rng.normal(shape)), rng.normal(shape), mask)
     if on_step is not None:
         on_step(top, x)
-    for a, b in plan.pairs():
-        if b < a:  # denoising step from level a+1 down to level b+1
-            eps_known = rng.normal(shape)
-            step_noise = rng.normal(shape)
-            t_math = a + 1
-            with no_grad():
-                t_in = np.full(n, _denoiser_time(t_math, sched.T, train_t))
-                eps_hat = denoiser(x, t_in).data
-            if dense:
-                unknown = ddpm_step(sched, x, t_math, eps_hat, step_noise, clip_x0=opts.clip_x0)
-            else:
-                unknown = impute_ddim_step(
-                    sched, x, t_math, b + 1, eps_hat, opts.eta, step_noise, clip_x0=opts.clip_x0
-                )
-            known = noisy_known(sched, x0, b + 1, eps_known)
-            x = combine(known, unknown, mask)
-        else:  # retrace: re-noise the whole state from level a+1 up to b+1
-            x = harmonize_jump(sched, x, a + 1, b + 1, rng.normal(shape))
-        if on_step is not None:
-            on_step(b, x)
+    # 2 MB, allocated and freed at once: glibc's malloc then serves smaller
+    # arrays from its heap and gives heap pages back only past 4 MB free, so
+    # the loop's short-lived arrays stop faulting fresh pages in on every
+    # step.  Until some large array has been freed, it trims past 128 kB.
+    np.empty(1 << 18)
+    with sharded_eval(denoiser, n) as evaluate:
+        for a, b in plan.pairs():
+            if b < a:  # denoising step from level a+1 down to level b+1
+                eps_known = rng.normal(shape)
+                step_noise = rng.normal(shape)
+                t_math = a + 1
+                eps_hat = evaluate(x, np.full(n, _denoiser_time(t_math, sched.T, train_t)))
+                if dense:
+                    unknown = ddpm_step(sched, x, t_math, eps_hat, step_noise,
+                                        clip_x0=opts.clip_x0)
+                else:
+                    unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, opts.eta,
+                                               step_noise, clip_x0=opts.clip_x0)
+                known = noisy_known(sched, x0, b + 1, eps_known)
+                x = combine(known, unknown, mask)
+            else:  # retrace: re-noise the whole state from level a+1 up to b+1
+                x = harmonize_jump(sched, x, a + 1, b + 1, rng.normal(shape))
+            if on_step is not None:
+                on_step(b, x)
     return np.where(mask, table.x_obs, x)

@@ -221,23 +221,11 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
     def abs(self):
         return absolute(self)
 
     def relu(self):
         return relu(self)
-
-    def tanh(self):
-        return tanh(self)
 
 
 def as_tensor(x) -> Tensor:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,39 @@ def test_checkpoint_carries_meta_and_names(tmp_path):
     _, _, _, names, meta = load_checkpoint(path)
     assert names == ("f1", "f2", "f3")
     assert meta == {"note": "fixture"}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_load_draws_no_initial_values(tmp_path, monkeypatch, arch):
+    den = build_denoiser(CONFIGS[arch], seed=8)
+    path = tmp_path / f"{arch}.ckpt"
+    save_checkpoint(path, den, train_t=100)
+
+    def no_draws(self, shape=()):
+        raise AssertionError("load_checkpoint drew a random initial value")
+
+    monkeypatch.setattr(Rng, "uniform", no_draws)
+    loaded = load_checkpoint(path)[0]
+    for (na, pa), (nb, pb) in zip(den.named_parameters(), loaded.named_parameters()):
+        assert na == nb and pa.data.dtype == pb.data.dtype
+        np.testing.assert_array_equal(pa.data, pb.data)
+
+
+# sha256 (first 16 hex digits) over the parameter names and bytes of
+# build_denoiser(CONFIGS[arch], seed=31): the initial weights every training
+# run starts from, so a change here changes every trained checkpoint
+INITIAL_WEIGHTS = {
+    "mlp": "1569b3ba2eb9194c",
+    "resnet": "99baac22afb4a5a2",
+    "transformer": "e8ab5563ae043d28",
+    "unet": "57c5e09b18a32d3e",
+}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_seeded_initial_weights_are_pinned(arch):
+    h = hashlib.sha256()
+    for name, p in build_denoiser(CONFIGS[arch], seed=31).named_parameters():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest()[:16] == INITIAL_WEIGHTS[arch]

@@ -674,3 +674,49 @@ def test_ablate_no_tst_checkpoint_feature_count_mismatch_exit_2(workdir, three_f
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "data has 2 features" in err and "expects 3" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["benchmark", "--methods", "mean", "--jobs", "0"],
+    ["benchmark", "--methods", "mean", "--n-inferences", "0"],
+    ["benchmark", "--methods", "mean", "--n-mask-seeds", "-1"],
+    ["train", "--checkpoint-every", "0"],
+], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every"])
+def test_count_flags_below_one_exit_2_before_writing(workdir, tmp_path, capsys, flags):
+    command, *rest = flags
+    out = ["--out", str(tmp_path / "o")] if command == "train" else [
+        "--out-dir", str(tmp_path / "o")]
+    assert main([command, "--data", str(workdir / "data.csv"), *rest, *out]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_jobs_2_with_a_sharded_transformer_matches_jobs_1(tmp_path, monkeypatch):
+    from tabdiffuse import parallel
+    from tabdiffuse.checkpoint import load_checkpoint
+
+    if parallel.numpy_blas() is None:
+        pytest.skip("numpy's OpenBLAS thread controls not found")
+    monkeypatch.setattr(parallel, "_cores", lambda: 2)
+    write_csv(tmp_path / "data.csv", Rng(3).normal((600, 4)), ["a", "b", "c", "d"])
+    assert main(["train", "--data", str(tmp_path / "data.csv"), "--arch", "transformer",
+                 "--embed-dim", "224", "--blocks", "1", "--epochs", "1", "--T", "30",
+                 "--out", str(tmp_path / "run")]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.ckpt"
+    # the 120-row test split carries 120 * (4 + 1) * 224 = 134400 elements a step
+    assert parallel.shard_count(load_checkpoint(ckpt)[0], 120) == 2
+
+    def bench_rows(name, jobs):
+        out_dir = tmp_path / name
+        assert main(["benchmark", "--data", str(tmp_path / "data.csv"),
+                     "--methods", "mean,locf,diffusion-transformer", "--checkpoint", str(ckpt),
+                     "--grid", "mcar=30,60", "--n-mask-seeds", "2", "--n-inferences", "1",
+                     "--T-sampling", "30", "--tau", "4", "--jobs", jobs,
+                     "--out-dir", str(out_dir)]) == 0
+        return [[line for line in (out_dir / f).read_text().splitlines()
+                 if not line.startswith("#")] for f in ("rows.csv", "summary.csv")]
+
+    serial = bench_rows("jobs1", "1")
+    assert bench_rows("jobs2", "2") == serial
+    monkeypatch.setattr(parallel, "_cores", lambda: 1)
+    assert bench_rows("unsharded", "2") == serial
