@@ -37,9 +37,13 @@ class MaskSpec:
         if self.mechanism == "mcar":
             if self.p_random is None or self.p_col is not None:
                 raise ValueError("mcar takes p_random only")
+            if not 0.0 < self.p_random < 1.0:
+                raise ValueError(f"mcar p_random must lie in (0, 1), got {self.p_random:g}")
         elif self.mechanism == "mar":
             if self.p_col is None or self.p_random is not None:
                 raise ValueError("mar takes p_col only")
+            if self.p_col < 1:
+                raise ValueError(f"mar p_col must be >= 1, got {self.p_col}")
         else:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
 

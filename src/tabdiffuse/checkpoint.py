@@ -1,11 +1,11 @@
 """Deterministic checkpoint container.
 
 Layout: 8-byte magic, big-endian uint64 header length, UTF-8 JSON header
-(sorted keys), then the raw parameter buffers concatenated in header order
-(C-contiguous, little-endian).  The header carries the architecture config,
-parameter names and shapes, the training time-axis length, and the data
-scaler, so a checkpoint alone reconstructs a working imputer.  Identical
-inputs produce identical bytes.
+(sorted keys), then the raw parameters and buffers (batch-norm running
+statistics) concatenated in header order (C-contiguous, little-endian).  The
+header carries the architecture config, array names and shapes, the training
+time-axis length, and the data scaler, so a checkpoint alone reconstructs a
+working imputer.  Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -35,16 +35,15 @@ def save_checkpoint(
     feature_names: tuple[str, ...] | None = None,
     meta: dict | None = None,
 ) -> None:
-    params = list(denoiser.named_parameters())
     dtype = denoiser.config.dtype
     entries = []
     offset = 0
     blobs = []
-    for name, p in params:
-        blob = np.ascontiguousarray(p.data, dtype=denoiser.config.np_dtype)
+    for name, array in denoiser.named_arrays():
+        blob = np.ascontiguousarray(array, dtype=denoiser.config.np_dtype)
         blob = blob.astype("<" + blob.dtype.str[1:], copy=False)
         raw = blob.tobytes()
-        entries.append({"name": name, "shape": list(p.data.shape), "offset": offset})
+        entries.append({"name": name, "shape": list(array.shape), "offset": offset})
         offset += len(raw)
         blobs.append(raw)
     header = {
@@ -83,21 +82,21 @@ def load_checkpoint(path):
     body = memoryview(raw)[16 + head_len :]  # a view: the weights are copied once, below
     np_dtype = np.dtype("<f8" if header["dtype"] == "float64" else "<f4")
     seen = set()
-    by_name = dict(denoiser.named_parameters())
+    by_name = dict(denoiser.named_arrays())
     for entry in header["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         if name not in by_name:
-            raise CheckpointError(f"{path}: unknown parameter {name!r}")
+            raise CheckpointError(f"{path}: unknown array {name!r}")
         n = int(np.prod(shape)) if shape else 1
         buf = body[offset : offset + n * np_dtype.itemsize]
         arr = np.frombuffer(buf, dtype=np_dtype).reshape(shape)
-        if by_name[name].data.shape != arr.shape:
+        if by_name[name].shape != arr.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-        np.copyto(by_name[name].data, arr)
+        np.copyto(by_name[name], arr)
         seen.add(name)
-    missing = set(by_name) - seen
+    missing = sorted(set(by_name) - seen)
     if missing:
-        raise CheckpointError(f"{path}: missing parameters {sorted(missing)[:3]}...")
+        raise CheckpointError(f"{path}: missing arrays {missing}")
     scaler = MinMaxScaler.from_dict(header["scaler"]) if header["scaler"] else None
     names = tuple(header["feature_names"]) if header["feature_names"] else None
     return denoiser, header["train_t"], scaler, names, header.get("meta", {})

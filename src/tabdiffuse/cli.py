@@ -1,9 +1,10 @@
 """Command-line interface: train, impute, benchmark, ablate.
 
-Every run resolves its options into a flat key = value config text, writes
-that text next to its outputs, and stamps each emitted CSV with the package
-version, the run seed, and the sha256 of the resolved config, so a rerun
-with the same inputs reproduces the outputs byte for byte.
+A command validates, loads and computes, then returns its reports unwritten;
+``write_reports`` stamps each with the package version, the run seed, and the
+sha256 of the resolved key = value config text, which it writes beside them.
+A failed run writes nothing but ``train``'s checkpoints, and a rerun with the
+same inputs reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 usage or input error, 3 numeric failure,
 4 internal invariant violation.
@@ -32,7 +33,7 @@ from .bench import (
     summarize,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import MinMaxScaler, load_csv, read_mask_csv, split, write_csv
+from .data import MinMaxScaler, load_csv, read_mask_csv, split, write_rows
 from .denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
 from .parallel import shard_count
 from .rng import derive_seed
@@ -91,17 +92,20 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def header_comments(seed: int, cfg_text: str) -> list[str]:
-    return [
-        f"tabdiffuse-version: {__version__}",
-        f"seed: {seed}",
-        f"config-sha256: {config_hash(cfg_text)}",
-    ]
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def write_reports(args, cfg_text: str, stamp_path: Path, reports) -> None:
+    """Write a finished command's reports, each after the three '#' stamp lines,
+    then its resolved config text at ``stamp_path``.  A report is a (path, body)
+    pair: a (header, rows) body is written as CSV, a str body as plain text."""
+    stamp = [f"tabdiffuse-version: {__version__}", f"seed: {args.seed}",
+             f"config-sha256: {config_hash(cfg_text)}"]
+    for path, body in reports:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(body, str):
+            path.write_text("".join(f"# {line}\n" for line in stamp) + body, encoding="utf-8")
+        else:
+            write_rows(path, *body, comments=stamp)
+        _log(f"[{args.command}] wrote {path}")
+    stamp_path.write_text(cfg_text, encoding="utf-8")
 
 
 def _log(msg: str) -> None:
@@ -247,7 +251,7 @@ def _load_model(path: Path, n_features: int):
 # -- train ------------------------------------------------------------------------
 
 
-def cmd_train(args, resolved: str) -> int:
+def cmd_train(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     scaler = MinMaxScaler().fit(ds.features)
     scaled = scaler.transform(ds.features)
@@ -273,32 +277,26 @@ def cmd_train(args, resolved: str) -> int:
         seed=args.seed,
     )
     out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "run_config.txt", resolved)
-
     denoiser = build_denoiser(den_cfg, seed=tr_cfg.seed)
+
+    def checkpoint(name, meta=None):
+        out_dir.mkdir(parents=True, exist_ok=True)  # made by the first checkpoint
+        save_checkpoint(out_dir / name, denoiser, train_t=tr_cfg.t_training, scaler=scaler,
+                        feature_names=ds.feature_names, meta=meta)
+        _log(f"[train] wrote {out_dir / name}")
 
     def maybe_checkpoint(epoch, losses):
         every = args.checkpoint_every
         if every and (epoch + 1) % every == 0:
-            save_checkpoint(out_dir / f"epoch_{epoch + 1:04d}.ckpt", denoiser,
-                            train_t=tr_cfg.t_training, scaler=scaler,
-                            feature_names=ds.feature_names)
+            checkpoint(f"epoch_{epoch + 1:04d}.ckpt")
 
     t0 = time.perf_counter()
     history = train(denoiser, scaled, tr_cfg, on_epoch_end=maybe_checkpoint)
     _log(f"[train] {tr_cfg.epochs} epochs in {time.perf_counter() - t0:.2f}s, "
          f"final loss {history[-1]:.6f}")
-
-    save_checkpoint(out_dir / "checkpoint.ckpt", denoiser, train_t=tr_cfg.t_training,
-                    scaler=scaler, feature_names=ds.feature_names,
-                    meta={"seed": tr_cfg.seed})
-    comments = header_comments(tr_cfg.seed, resolved)
-    loss_rows = np.array([[e + 1, loss] for e, loss in enumerate(history)])
-    write_csv(out_dir / "loss.csv", loss_rows, ["epoch", "mean_loss"],
-              header_comments=comments)
-    _log(f"[train] wrote {out_dir / 'checkpoint.ckpt'}")
-    return EXIT_OK
+    checkpoint("checkpoint.ckpt", meta={"seed": tr_cfg.seed})
+    losses = (["epoch", "mean_loss"], [[float(e + 1), loss] for e, loss in enumerate(history)])
+    return out_dir / "run_config.txt", [(out_dir / "loss.csv", losses)]
 
 
 # -- impute -----------------------------------------------------------------------
@@ -320,7 +318,7 @@ def _make_mask(args, n_rows: int, n_cols: int, seed: int) -> np.ndarray:
     return spec.generate(n_rows, n_cols, derive_seed(seed, _MASK_STREAM))
 
 
-def cmd_impute(args, resolved: str) -> int:
+def cmd_impute(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     denoiser, train_t, scaler, _, _ = _load_model(args.checkpoint, ds.n_features)
     seed = args.seed
@@ -349,19 +347,14 @@ def cmd_impute(args, resolved: str) -> int:
 
     out = scaler.inverse_transform(out_scaled) if scaler is not None else out_scaled
     out[mask] = ds.features[mask]  # observations pass through verbatim
-    out_path = args.out
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out_path, out, ds.feature_names,
-              header_comments=header_comments(seed, resolved))
-    _write_text(out_path.with_name(out_path.name + ".config.txt"), resolved)
-    _log(f"[impute] wrote {out_path}")
-    return EXIT_OK
+    return (args.out.with_name(args.out.name + ".config.txt"),
+            [(args.out, (ds.feature_names, (row.tolist() for row in out)))])
 
 
 # -- benchmark ----------------------------------------------------------------------
 
 
-def _parse_grid(tokens: list[str]) -> list[MaskSpec]:
+def _parse_grid(tokens: list[str], n_features: int) -> list[MaskSpec]:
     specs: list[MaskSpec] = []
     for token in tokens:
         if "=" not in token:
@@ -378,8 +371,10 @@ def _parse_grid(tokens: list[str]) -> list[MaskSpec]:
             if name == "mcar":
                 frac = p / 100.0 if p > 1 else float(p)
                 specs.append(MaskSpec("mcar", p_random=frac))
-            elif name == "mar":
+            elif name == "mar" and int(p) < n_features:
                 specs.append(MaskSpec("mar", p_col=int(p)))
+            elif name == "mar":
+                raise UsageError(f"grid point mar={int(p)} masks all {n_features} feature columns")
             else:
                 raise UsageError(f"unknown grid mechanism {name!r}")
     if not specs:
@@ -411,7 +406,7 @@ def _in_bench_space(fn, ckpt_scaler, bench_scaler):
     return in_bench_space
 
 
-def cmd_benchmark(args, resolved: str) -> int:
+def cmd_benchmark(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     seed = args.seed
     train_ds, test_ds = split(ds, fraction=args.split_fraction, seed=seed)
@@ -420,7 +415,7 @@ def cmd_benchmark(args, resolved: str) -> int:
     test_scaled = bench_scaler.transform(test_ds.features)
 
     methods = args.methods
-    specs = _parse_grid(args.grid)
+    specs = _parse_grid(args.grid, ds.n_features)
 
     checkpoints = {}
     for path_str in args.checkpoints:
@@ -444,11 +439,6 @@ def cmd_benchmark(args, resolved: str) -> int:
                 f"method {method!r} is not a baseline and no checkpoint provides it "
                 f"(available: {sorted(checkpoints) or 'none'})"
             )
-
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "run_config.txt", resolved)
-    comments = header_comments(seed, resolved)
 
     cells = [(method, spec) for method in methods for spec in specs]
     imputations: dict = {}
@@ -485,25 +475,22 @@ def cmd_benchmark(args, resolved: str) -> int:
          "" if r.pearson is None else _fmt(r.pearson)]
         for r in rows
     ]
-    _write_rows_csv(out_dir / "rows.csv", ["method", "setting", "mask_seed", "mse", "pearson"],
-                    row_values, comments)
-
     summary = summarize(rows)
     settings = [s.label for s in specs]
-    matrix_rows = [
+    matrix = (["method"] + settings, [
         [m] + [_fmt(summary[s][m]) if m in summary.get(s, {}) else "/" for s in settings]
         for m in methods
-    ]
-    _write_rows_csv(out_dir / "summary.csv", ["method"] + settings, matrix_rows, comments)
+    ])
     rankable = [m for m in methods if all(m in summary.get(s, {}) for s in settings)]
     ranks = rank_table({s: {m: summary[s][m] for m in rankable} for s in settings})
-    _write_rows_csv(out_dir / "ranks.csv", ["method", "mean", "std"],
-                    [[m, _fmt(mean), _fmt(std)] for m, mean, std in ranks], comments)
-    table_txt = text_table(["method"] + settings, matrix_rows)
-    rank_txt = text_table(["method", "mean", "std"],
-                          [[m, _fmt(mean), _fmt(std)] for m, mean, std in ranks])
-    banner = "".join(f"# {c}\n" for c in comments)
-    _write_text(out_dir / "summary.txt", banner + table_txt + "\n" + rank_txt)
+    rank_cols = (["method", "mean", "std"], [[m, _fmt(mean), _fmt(std)] for m, mean, std in ranks])
+    out_dir = args.out_dir
+    reports = [
+        (out_dir / "rows.csv", (["method", "setting", "mask_seed", "mse", "pearson"], row_values)),
+        (out_dir / "summary.csv", matrix),
+        (out_dir / "ranks.csv", rank_cols),
+        (out_dir / "summary.txt", text_table(*matrix) + "\n" + text_table(*rank_cols)),
+    ]
 
     # downstream task on the first mask seed's imputations, when labels exist
     if ds.target is not None:
@@ -523,24 +510,16 @@ def cmd_benchmark(args, resolved: str) -> int:
                                          ds.task, seed=seed)
                 vals.append(_fmt(metric))
             down_rows.append([m] + vals)
-        _write_rows_csv(out_dir / f"downstream_{metric_name}.csv",
-                        ["method"] + settings, down_rows, comments)
+        reports.append((out_dir / f"downstream_{metric_name}.csv",
+                        (["method"] + settings, down_rows)))
 
-    _log(f"[benchmark] {len(rows)} result rows -> {out_dir}")
-    return EXIT_OK
-
-
-def _write_rows_csv(path: Path, header: list[str], rows: list[list], comments: list[str]) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines += [",".join(str(c) for c in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    return out_dir / "run_config.txt", reports
 
 
 # -- ablate ------------------------------------------------------------------------
 
 
-def cmd_ablate(args, resolved: str) -> int:
+def cmd_ablate(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     denoiser, train_t, ck_scaler, _, _ = _load_model(args.checkpoint, ds.n_features)
     arch = denoiser.config.arch
@@ -581,16 +560,11 @@ def cmd_ablate(args, resolved: str) -> int:
         per_seed_rows += [[label, str(r.mask_seed), _fmt(r.mse)] for r in scored]
 
     out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "run_config.txt", resolved)
-    comments = header_comments(args.seed, resolved)
-    _write_rows_csv(out_dir / "ablation.csv", ["setting", arch], rows, comments)
-    _write_rows_csv(out_dir / "ablation_per_seed.csv", ["setting", "mask_seed", arch],
-                    per_seed_rows, comments)
-    banner = "".join(f"# {c}\n" for c in comments)
-    _write_text(out_dir / "ablation.txt", banner + text_table(["setting", arch], rows))
-    _log(f"[ablate] preset {args.preset}: {len(rows)} settings -> {out_dir}")
-    return EXIT_OK
+    return out_dir / "run_config.txt", [
+        (out_dir / "ablation.csv", (["setting", arch], rows)),
+        (out_dir / "ablation_per_seed.csv", (["setting", "mask_seed", arch], per_seed_rows)),
+        (out_dir / "ablation.txt", text_table(["setting", arch], rows)),
+    ]
 
 
 # -- argument parser -----------------------------------------------------------------
@@ -696,7 +670,8 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config_file(args, parser)
             args = parser.parse_args(argv)
-        return COMMANDS[args.command](args, resolved_config(args, parser))
+        write_reports(args, resolved_config(args, parser), *COMMANDS[args.command](args))
+        return EXIT_OK
     except (ValueError, OSError) as err:  # UsageError and the input errors are ValueErrors
         _log(f"error: {err}")
         return EXIT_USAGE

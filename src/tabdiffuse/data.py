@@ -98,19 +98,21 @@ def load_csv(path, target_column: str | None = None, task: str | None = None) ->
     )
 
 
+def write_rows(path, header, rows, comments=()) -> None:
+    """The package's CSV writer: '#' comment lines, the header, then the rows,
+    each written as it is drawn.  A Python float is written as its repr(), the
+    shortest form that reads back bit for bit."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv(path, values: np.ndarray, names, header_comments: list[str] | None = None) -> None:
     """Write a numeric table; optional '#' comment lines precede the header."""
-    path = Path(path)
-    values = np.asarray(values)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in header_comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(names))
-        for row in values:
-            # repr() is the shortest exact round-trip form, so a re-read
-            # recovers the float bit for bit
-            writer.writerow([repr(float(v)) for v in row])
+    rows = (row.tolist() for row in np.asarray(values, dtype=np.float64))
+    write_rows(path, names, rows, header_comments or ())
 
 
 class MinMaxScaler:

@@ -34,6 +34,8 @@ class BatchSizeError(ValueError):
 class Module:
     """Minimal parameter/submodule container."""
 
+    buffers: tuple[str, ...] = ()  # attributes holding state that is not trained but saved
+
     def __init__(self):
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_modules", {})
@@ -50,6 +52,15 @@ class Module:
             yield (f"{prefix}{name}", p)
         for name, mod in self._modules.items():
             yield from mod.named_parameters(prefix=f"{prefix}{name}.")
+
+    def named_arrays(self, prefix: str = ""):
+        """What a checkpoint stores: each parameter's values, then each buffer."""
+        for name, p in self._params.items():
+            yield (f"{prefix}{name}", p.data)
+        for name in self.buffers:
+            yield (f"{prefix}{name}", getattr(self, name))
+        for name, mod in self._modules.items():
+            yield from mod.named_arrays(prefix=f"{prefix}{name}.")
 
     def param_store(self) -> ParamStore:
         store = ParamStore()
@@ -145,6 +156,8 @@ class Dropout(Module):
 
 
 class BatchNorm1d(Module):
+    buffers = ("running_mean", "running_var")
+
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float64):
         super().__init__()
         self.dim, self.momentum, self.eps = dim, momentum, eps

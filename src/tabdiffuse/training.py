@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import Denoiser
+from .denoisers import Denoiser, ResNetDenoiser
+from .nn import BatchSizeError
 from .optim import AdamW, smooth_l1
 from .rng import Rng
 from .schedule import DiffusionSchedule, build_cosine_schedule
@@ -84,6 +85,9 @@ def train(
     n = data.shape[0]
     if n < cfg.batch_size:
         raise ValueError(f"need at least batch_size={cfg.batch_size} rows, got {n}")
+    if isinstance(denoiser, ResNetDenoiser) and n % cfg.batch_size == 1:
+        raise BatchSizeError(f"{n} rows leave a 1-row last batch at batch size {cfg.batch_size}, "
+                             f"which the ResNet's batch norm cannot train on")
     if sched is None:
         sched = build_cosine_schedule(cfg.t_training)
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -95,3 +96,57 @@ def test_seeded_initial_weights_are_pinned(arch):
         h.update(name.encode())
         h.update(p.data.tobytes())
     assert h.hexdigest()[:16] == INITIAL_WEIGHTS[arch]
+
+
+# sha256 (first 16 hex digits) of save_checkpoint(build_denoiser(CONFIGS[arch],
+# seed=31), train_t=100): the file format; the ResNet's holds its batch-norm
+# running statistics after its parameters
+CHECKPOINT_BYTES = {
+    "mlp": "54fe57916cf10604",
+    "resnet": "947919637045387b",
+    "transformer": "c647c83fac2f68c9",
+    "unet": "5e452df63e03dc82",
+}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_checkpoint_bytes_are_pinned(tmp_path, arch):
+    path = tmp_path / f"{arch}.ckpt"
+    save_checkpoint(path, build_denoiser(CONFIGS[arch], seed=31), train_t=100)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CHECKPOINT_BYTES[arch]
+
+
+def _trained_resnet():
+    from tabdiffuse.training import TrainingConfig, train
+
+    den = build_denoiser(DenoiserConfig(arch="resnet", n_features=3, hidden=8, blocks=1), seed=2)
+    train(den, Rng(4).uniform((200, 3)), TrainingConfig(epochs=1, batch_size=64, t_training=50))
+    return den
+
+
+def test_resnet_checkpoint_keeps_batch_norm_statistics(tmp_path):
+    den = _trained_resnet()
+    assert np.any(den.out_norm.running_mean != 0.0)
+    path = tmp_path / "resnet.ckpt"
+    save_checkpoint(path, den, train_t=50)
+    loaded = load_checkpoint(path)[0]
+    for (na, a), (nb, b) in zip(den.named_arrays(), loaded.named_arrays()):
+        assert na == nb
+        np.testing.assert_array_equal(a, b)
+    x, t = Rng(5).uniform((16, 3)), np.arange(1, 17)
+    np.testing.assert_array_equal(den(x, t).data, loaded(x, t).data)
+
+
+def test_resnet_checkpoint_without_statistics_rejected(tmp_path):
+    path = tmp_path / "resnet.ckpt"
+    save_checkpoint(path, _trained_resnet(), train_t=50)
+    # rewrite the header without the statistics' entries, as a checkpoint
+    # that stored parameters only would have it
+    raw = path.read_bytes()
+    head_len = int.from_bytes(raw[8:16], "big")
+    header = json.loads(raw[16:16 + head_len])
+    header["params"] = [e for e in header["params"] if "running" not in e["name"]]
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:8] + len(head).to_bytes(8, "big") + head + raw[16 + head_len:])
+    with pytest.raises(CheckpointError, match="running_mean"):
+        load_checkpoint(path)

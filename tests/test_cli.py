@@ -365,17 +365,43 @@ def test_benchmark_jobs_pool_matches_serial(workdir, tmp_path):
 
 
 def test_report_text_files_carry_header(workdir, tmp_path):
-    out_dir = tmp_path / "hdr"
-    rc = main([
-        "benchmark", "--data", str(workdir / "data.csv"), "--methods", "mean",
-        "--grid", "mcar=40", "--n-mask-seeds", "1", "--seed", "1",
-        "--out-dir", str(out_dir),
-    ])
-    assert rc == 0
-    for name in ("rows.csv", "summary.csv", "ranks.csv", "summary.txt"):
-        text = (out_dir / name).read_text()
-        assert text.startswith("# tabdiffuse-version:"), name
-        assert "config-sha256:" in text.splitlines()[2]
+    """Every report of the four commands opens with the package version, the
+    run seed, and the hash of the config text the run wrote beside it."""
+    from tabdiffuse import __version__
+    from tabdiffuse.cli import config_hash
+
+    x = load_csv(workdir / "data.csv").features
+    write_csv(tmp_path / "labeled.csv", np.column_stack([x, x[:, 0] > 0]), ["f1", "f2", "y"])
+    data, ckpt = str(workdir / "data.csv"), str(tmp_path / "run" / "checkpoint.ckpt")
+    runs = [  # (argv, stamp file, reports)
+        (["train", "--data", data, "--epochs", "1", "--T", "30", "--blocks", "1",
+          "--hidden", "8", "--seed", "3", "--out", str(tmp_path / "run")],
+         "run/run_config.txt", ["run/loss.csv"]),
+        (["impute", "--checkpoint", ckpt, "--data", data, "--mcar", "0.3", "--T-sampling", "10",
+          "--n-inferences", "1", "--seed", "4", "--out", str(tmp_path / "imp.csv")],
+         "imp.csv.config.txt", ["imp.csv"]),
+        (["benchmark", "--data", str(tmp_path / "labeled.csv"), "--target", "y",
+          "--methods", "mean", "--grid", "mcar=40", "--n-mask-seeds", "1", "--seed", "1",
+          "--out-dir", str(tmp_path / "bench")],
+         "bench/run_config.txt", ["bench/rows.csv", "bench/summary.csv", "bench/ranks.csv",
+                                  "bench/summary.txt", "bench/downstream_accuracy.csv"]),
+        (["ablate", "--checkpoint", ckpt, "--data", data, "--preset", "harmonization",
+          "--T-sampling", "10", "--n-mask-seeds", "1", "--n-inferences", "1", "--seed", "5",
+          "--out-dir", str(tmp_path / "abl")],
+         "abl/run_config.txt", ["abl/ablation.csv", "abl/ablation_per_seed.csv",
+                                "abl/ablation.txt"]),
+    ]
+    written = {"labeled.csv", "run/checkpoint.ckpt"}
+    for argv, stamp, reports in runs:
+        assert main(argv) == 0
+        header = [f"# tabdiffuse-version: {__version__}",
+                  f"# seed: {argv[argv.index('--seed') + 1]}",
+                  f"# config-sha256: {config_hash((tmp_path / stamp).read_text())}"]
+        for name in reports:
+            assert (tmp_path / name).read_text().splitlines()[:3] == header, name
+        written |= {stamp, *reports}
+    assert {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+            if p.is_file()} == written
 
 
 def test_benchmark_emits_downstream_metric_with_target(workdir, tmp_path):
@@ -676,18 +702,28 @@ def test_ablate_no_tst_checkpoint_feature_count_mismatch_exit_2(workdir, three_f
     assert "data has 2 features" in err and "expects 3" in err
 
 
-@pytest.mark.parametrize("flags", [
-    ["benchmark", "--methods", "mean", "--jobs", "0"],
-    ["benchmark", "--methods", "mean", "--n-inferences", "0"],
-    ["benchmark", "--methods", "mean", "--n-mask-seeds", "-1"],
-    ["train", "--checkpoint-every", "0"],
-], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every"])
-def test_count_flags_below_one_exit_2_before_writing(workdir, tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags,message", [
+    (["benchmark", "--methods", "mean", "--jobs", "0"], "must be >= 1"),
+    (["benchmark", "--methods", "mean", "--n-inferences", "0"], "must be >= 1"),
+    (["benchmark", "--methods", "mean", "--n-mask-seeds", "-1"], "must be >= 1"),
+    (["train", "--checkpoint-every", "0"], "must be >= 1"),
+    (["benchmark", "--methods", "mean", "--grid", "mcar=30", "mcar=100"], "p_random"),
+    (["benchmark", "--methods", "mean", "--grid", "mcar=30", "mar=2"], "masks all 2 feature"),
+    (["train", "--batch-size", "401"], "need at least batch_size=401 rows"),
+    (["train", "--arch", "resnet", "--batch-size", "133"], "1-row last batch"),
+    (["benchmark", "--methods", "mean,diffusion-unet"], "no checkpoint provides it"),
+    (["impute", "--checkpoint", "no/such.ckpt", "--mcar", "0.3"], "checkpoint not found"),
+], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every",
+        "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
+        "resnet-one-row-tail", "unknown-method", "missing-checkpoint"])
+def test_count_flags_below_one_exit_2_before_writing(workdir, tmp_path, capsys, flags, message):
+    """Each of these exits 2 before any output is written: the run leaves no
+    file or directory behind."""
     command, *rest = flags
-    out = ["--out", str(tmp_path / "o")] if command == "train" else [
-        "--out-dir", str(tmp_path / "o")]
-    assert main([command, "--data", str(workdir / "data.csv"), *rest, *out]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    out_flag = "--out-dir" if command == "benchmark" else "--out"
+    assert main([command, "--data", str(workdir / "data.csv"), *rest,
+                 out_flag, str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -147,6 +147,11 @@ def test_mask_spec_validation_and_labels():
         MaskSpec("mar", p_random=0.5)
     with pytest.raises(ValueError):
         MaskSpec("rot13")
+    for p_random in (0.0, 1.0, 30.0):  # a cell goes missing with probability in (0, 1)
+        with pytest.raises(ValueError, match="p_random"):
+            MaskSpec("mcar", p_random=p_random)
+    with pytest.raises(ValueError, match="p_col"):
+        MaskSpec("mar", p_col=0)
 
 
 def test_ensemble_eval_deterministic_imputer_ignores_n_inferences():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
+from tabdiffuse.nn import BatchSizeError
 from tabdiffuse.rng import Rng
 from tabdiffuse.schedule import build_cosine_schedule
 from tabdiffuse.tensor import no_grad
@@ -148,6 +149,20 @@ def test_short_final_batch_is_kept():
         on_batch=lambda step, t, loss: counts.append(len(t)),
     )
     assert counts == [64, 36]
+
+
+def test_one_row_final_batch_rejected_before_training_only_for_batch_norm():
+    data = correlated_gaussian(65, seed=7)
+    cfg = TrainingConfig(epochs=1, batch_size=64, t_training=50)
+    resnet = build_denoiser(DenoiserConfig(arch="resnet", n_features=2, hidden=8, blocks=1),
+                            seed=0)
+    steps = []
+    with pytest.raises(BatchSizeError, match="1-row last batch"):
+        train(resnet, data, cfg, on_batch=lambda step, t, loss: steps.append(step))
+    assert steps == []  # raised before the first step, not at the last batch
+    counts = []
+    train(tiny_mlp(), data, cfg, on_batch=lambda step, t, loss: counts.append(len(t)))
+    assert counts == [64, 1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
