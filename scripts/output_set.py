@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Run a fixed set of commands and print a manifest of every file they wrote.
+
+The set covers each command's output paths: ``train`` for all four
+architectures (one with ``--checkpoint-every``, one with
+``--no-time-embedding``), a dense ``impute`` and a skip-step ``impute`` with
+retracing, a ``benchmark`` with a binary ``--target``, ``--jobs 2``,
+``--report-space raw`` and two diffusion methods over an MCAR and a MAR
+setting, and all three ``ablate`` presets.  Each line of the manifest is
+``<sha256>  <path relative to OUT>``, so two manifests diff line for line.
+
+The commands run through whichever ``tabdiffuse`` is importable, so the same
+script checks two versions of the package for byte-identical outputs:
+
+    PYTHONPATH=<parent checkout>/src python3 scripts/output_set.py OUT > parent.txt
+    rm -r OUT
+    PYTHONPATH=src python3 scripts/output_set.py OUT > change.txt
+    diff parent.txt change.txt
+
+Both sides must use the same OUT: the data and checkpoint paths are part of
+each command's resolved config, whose hash is stamped into every report.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROWS, COLS, SEED = 240, 5, 3
+
+
+def write_table(path: Path, values: np.ndarray, names: list[str]) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([repr(float(v)) for v in row] for row in values)
+
+
+def commands(out: Path) -> list[list[str]]:
+    data, labeled = str(out / "data.csv"), str(out / "labeled.csv")
+
+    def ckpt(name: str) -> str:
+        return str(out / name / "checkpoint.ckpt")
+
+    small = ["--epochs", "2", "--T", "100", "--seed", "1"]
+    sampler = ["--T-sampling", "40", "--n-inferences", "2", "--seed", "2"]
+    return [
+        ["train", "--data", data, "--arch", "mlp", "--blocks", "2", "--hidden", "16",
+         "--checkpoint-every", "1", *small, "--out", str(out / "mlp")],
+        ["train", "--data", data, "--arch", "mlp", "--blocks", "2", "--hidden", "16",
+         "--no-time-embedding", *small, "--out", str(out / "mlp-no-tst")],
+        ["train", "--data", data, "--arch", "resnet", "--blocks", "2", "--hidden", "16",
+         *small, "--out", str(out / "resnet")],
+        ["train", "--data", data, "--arch", "transformer", "--blocks", "1", "--embed-dim", "16",
+         "--heads", "2", *small, "--out", str(out / "transformer")],
+        ["train", "--data", data, "--arch", "unet", "--unet-channels", "8,16", "--heads", "2",
+         "--dtype", "float32", *small, "--out", str(out / "unet")],
+        ["impute", "--checkpoint", ckpt("resnet"), "--data", data, "--mcar", "0.3", *sampler,
+         "--out", str(out / "impute-dense.csv")],
+        ["impute", "--checkpoint", ckpt("transformer"), "--data", data, "--mar", "2",
+         "--tau", "10", "--jump-length", "2", "--jump-n-sample", "2", *sampler,
+         "--out", str(out / "impute-skip.csv")],
+        ["benchmark", "--data", labeled, "--target", "y",
+         "--methods", "mean,median,mode,const0,const1,locf,nocb,diffusion-mlp,diffusion-unet",
+         "--checkpoint", ckpt("mlp"), "--checkpoint", ckpt("unet"), "--grid", "mcar=30", "mar=1",
+         "--n-mask-seeds", "2", "--jobs", "2", "--report-space", "raw", "--tau", "10",
+         *sampler, "--out-dir", str(out / "benchmark")],
+        ["ablate", "--checkpoint", ckpt("mlp"), "--data", data, "--preset", "tau-sweep",
+         *sampler, "--n-mask-seeds", "2", "--out-dir", str(out / "ablate-tau")],
+        ["ablate", "--checkpoint", ckpt("mlp"), "--data", data, "--preset", "harmonization",
+         *sampler, "--n-mask-seeds", "2", "--out-dir", str(out / "ablate-j")],
+        ["ablate", "--checkpoint", ckpt("mlp"), "--checkpoint-no-tst", ckpt("mlp-no-tst"),
+         "--data", data, "--preset", "no-tst", *sampler, "--n-mask-seeds", "2",
+         "--out-dir", str(out / "ablate-no-tst")],
+    ]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path, help="empty or new directory for the outputs")
+    args = ap.parse_args()
+    try:
+        import tabdiffuse
+        from tabdiffuse.cli import main as cli
+    except ImportError:
+        print("tabdiffuse is not importable; set PYTHONPATH to a checkout's src", file=sys.stderr)
+        return 2
+    out = args.out.resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    print(f"tabdiffuse from {Path(tabdiffuse.__file__).parent}", file=sys.stderr)
+
+    z = np.random.default_rng(SEED).standard_normal((ROWS, COLS + 1))
+    x = np.cumsum(z[:, :COLS], axis=1)  # neighbouring columns correlate
+    y = (x[:, 0] + z[:, COLS] > 0).astype(float)
+    names = [f"f{j + 1}" for j in range(COLS)]
+    write_table(out / "data.csv", x, names)
+    write_table(out / "labeled.csv", np.column_stack([x, y]), names + ["y"])
+
+    for argv in commands(out):
+        rc = cli(argv)
+        if rc != 0:
+            print(f"exit {rc}: tabdiffuse {' '.join(argv)}", file=sys.stderr)
+            return rc
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .metrics import accuracy as accuracy_score
 from .metrics import mse_missing, pearson_missing, rmse
-from .optim import AdamW, ParamStore
+from .optim import AdamW
 from .rng import Rng, derive_seed
 from .tensor import Tensor, log, softmax
 from . import data as data_mod
@@ -226,10 +226,7 @@ def downstream_eval(
 
     W = Tensor((2.0 * rng.uniform((k, out_dim)) - 1.0) * 0.01, requires_grad=True)
     b = Tensor(np.zeros(out_dim), requires_grad=True)
-    store = ParamStore()
-    store.register("W", W)
-    store.register("b", b)
-    opt = AdamW(store, lr=lr, weight_decay=weight_decay)
+    opt = AdamW({"W": W, "b": b}, lr=lr, weight_decay=weight_decay)
     Xt = Tensor(train_X)
     for _ in range(steps):
         logits = Xt @ W + b

@@ -239,13 +239,19 @@ def _existing(path: Path, what: str) -> Path:
     return path
 
 
-def _load_model(path: Path, n_features: int):
-    """load_checkpoint, checked against the data's feature count."""
-    loaded = load_checkpoint(_existing(path, "checkpoint"))
-    expected = loaded[0].config.n_features
-    if expected != n_features:
-        raise UsageError(f"data has {n_features} features, checkpoint {path} expects {expected}")
-    return loaded
+def _load_model(path: Path, feature_names: tuple[str, ...]):
+    """load_checkpoint, checked against the data's feature count and, when the
+    checkpoint stores them, its feature names; returns (denoiser, train_t, scaler)."""
+    denoiser, train_t, scaler, names, _ = load_checkpoint(_existing(path, "checkpoint"))
+    expected = denoiser.config.n_features
+    if expected != len(feature_names):
+        raise UsageError(f"data has {len(feature_names)} features, checkpoint {path} expects "
+                         f"{expected}")
+    if names is not None and names != feature_names:
+        i = next(i for i, (a, b) in enumerate(zip(names, feature_names)) if a != b)
+        raise UsageError(f"data feature {i + 1} is {feature_names[i]!r}, checkpoint {path} "
+                         f"expects {names[i]!r}")
+    return denoiser, train_t, scaler
 
 
 # -- train ------------------------------------------------------------------------
@@ -320,7 +326,7 @@ def _make_mask(args, n_rows: int, n_cols: int, seed: int) -> np.ndarray:
 
 def cmd_impute(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
-    denoiser, train_t, scaler, _, _ = _load_model(args.checkpoint, ds.n_features)
+    denoiser, train_t, scaler = _load_model(args.checkpoint, ds.feature_names)
     seed = args.seed
     mask = _make_mask(args, ds.n_rows, ds.n_features, seed)
     opts = SamplerOptions(
@@ -369,7 +375,7 @@ def _parse_grid(tokens: list[str], n_features: int) -> list[MaskSpec]:
             points = [float(v) for v in values.split(",")]
         for p in points:
             if name == "mcar":
-                frac = p / 100.0 if p > 1 else float(p)
+                frac = p / 100.0 if p >= 1 else float(p)
                 specs.append(MaskSpec("mcar", p_random=frac))
             elif name == "mar" and int(p) < n_features:
                 specs.append(MaskSpec("mar", p_col=int(p)))
@@ -408,6 +414,9 @@ def _in_bench_space(fn, ckpt_scaler, bench_scaler):
 
 def cmd_benchmark(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
+    if ds.target is not None and not np.all(np.isfinite(ds.target)):
+        row = int(np.flatnonzero(~np.isfinite(ds.target))[0]) + 2  # 1-based, after the header
+        raise UsageError(f"{args.data}: non-finite target at row {row}, column {args.target!r}")
     seed = args.seed
     train_ds, test_ds = split(ds, fraction=args.split_fraction, seed=seed)
     bench_scaler = MinMaxScaler().fit(train_ds.features)
@@ -419,7 +428,7 @@ def cmd_benchmark(args):
 
     checkpoints = {}
     for path_str in args.checkpoints:
-        denoiser, train_t, ck_scaler, _, _ = _load_model(Path(path_str), ds.n_features)
+        denoiser, train_t, ck_scaler = _load_model(Path(path_str), ds.feature_names)
         checkpoints[f"diffusion-{denoiser.config.arch}"] = (denoiser, train_t, ck_scaler)
     opts = SamplerOptions(t_sampling=args.T_sampling, tau=args.tau, eta=args.eta,
                           jump_length=args.jump_length, jump_n_sample=args.jump_n_sample)
@@ -521,7 +530,7 @@ def cmd_benchmark(args):
 
 def cmd_ablate(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
-    denoiser, train_t, ck_scaler, _, _ = _load_model(args.checkpoint, ds.n_features)
+    denoiser, train_t, ck_scaler = _load_model(args.checkpoint, ds.feature_names)
     arch = denoiser.config.arch
     _, test_ds = split(ds, fraction=args.split_fraction, seed=args.seed)
     # scored in the checkpoint's scaled space
@@ -540,7 +549,7 @@ def cmd_ablate(args):
     else:  # no-tst
         if not args.checkpoint_no_tst:
             raise UsageError("--preset no-tst requires --checkpoint-no-tst")
-        den2, tt2, _, _, _ = _load_model(args.checkpoint_no_tst, ds.n_features)
+        den2, tt2, _ = _load_model(args.checkpoint_no_tst, ds.feature_names)
         if den2.config.time_embedding:
             raise UsageError(
                 "--checkpoint-no-tst must hold a model trained with the time tokenizer disabled"

@@ -60,7 +60,7 @@ def _infer_task(values: np.ndarray) -> str:
     return "regression"
 
 
-def load_csv(path, target_column: str | None = None, task: str | None = None) -> Dataset:
+def load_csv(path, target_column: str | None = None) -> Dataset:
     """Parse a complete numeric table; rejects unparseable cells with location."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -82,7 +82,7 @@ def load_csv(path, target_column: str | None = None, task: str | None = None) ->
                     f"{path}: unparseable cell at row {i + 2}, column {header[j]!r}: {cell!r}"
                 ) from None
     if target_column is None:
-        return Dataset(features=data, feature_names=tuple(header), task=task or "none")
+        return Dataset(features=data, feature_names=tuple(header))
     if target_column not in header:
         raise CsvFormatError(f"{path}: no column named {target_column!r}")
     ti = header.index(target_column)
@@ -94,7 +94,7 @@ def load_csv(path, target_column: str | None = None, task: str | None = None) ->
         feature_names=names,
         target=target,
         target_name=target_column,
-        task=task or _infer_task(target),
+        task=_infer_task(target),
     )
 
 
@@ -109,10 +109,10 @@ def write_rows(path, header, rows, comments=()) -> None:
         writer.writerows(rows)
 
 
-def write_csv(path, values: np.ndarray, names, header_comments: list[str] | None = None) -> None:
-    """Write a numeric table; optional '#' comment lines precede the header."""
+def write_csv(path, values: np.ndarray, names) -> None:
+    """Write a numeric table under a header of column names."""
     rows = (row.tolist() for row in np.asarray(values, dtype=np.float64))
-    write_rows(path, names, rows, header_comments or ())
+    write_rows(path, names, rows)
 
 
 class MinMaxScaler:
@@ -147,9 +147,6 @@ class MinMaxScaler:
         X = np.asarray(X, dtype=np.float64)
         out = (X - self.data_min_) / self._span()
         return np.where(self.data_max_ == self.data_min_, 0.0, out)
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
 
     def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
         if not self.fitted:
@@ -213,10 +210,6 @@ def gen_mar_mask(n_rows: int, n_cols: int, p_col: int, seed: int) -> np.ndarray:
     mask = np.ones((n_rows, n_cols), dtype=bool)
     mask[:, cols] = False
     return mask
-
-
-def write_mask_csv(path, mask: np.ndarray, names) -> None:
-    write_csv(path, mask.astype(int), names)
 
 
 def read_mask_csv(path) -> np.ndarray:

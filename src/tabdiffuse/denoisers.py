@@ -12,7 +12,7 @@ for the U-Net), so it is a derived quantity rather than a free knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .nn import (
     TimeStepTokenizer,
     apply_film,
 )
-from .optim import ParamStore
 from .rng import Rng
 from .tensor import Tensor, concat, reglu_film, relu, reshape, silu, transpose
 
@@ -86,23 +85,13 @@ class DenoiserConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    def without_time_embedding(self) -> "DenoiserConfig":
-        return replace(self, time_embedding=False)
-
 
 class Denoiser(Module):
-    """Base class: config + parameter store + eval/train forward."""
+    """Base class: config + eval/train forward."""
 
     def __init__(self, config: DenoiserConfig):
         super().__init__()
         self.config = config
-        self._store: ParamStore | None = None
-
-    @property
-    def params(self) -> ParamStore:
-        if self._store is None:
-            self._store = self.param_store()
-        return self._store
 
     @property
     def row_cost(self) -> int:

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .optim import ParamStore
 from .rng import Rng
 from .tensor import (
     Tensor,
@@ -62,12 +61,6 @@ class Module:
         for name, mod in self._modules.items():
             yield from mod.named_arrays(prefix=f"{prefix}{name}.")
 
-    def param_store(self) -> ParamStore:
-        store = ParamStore()
-        for name, p in self.named_parameters():
-            store.register(name, p)
-        return store
-
 
 class ModuleList(Module):
     def __init__(self, modules=()):
@@ -111,14 +104,13 @@ def kaiming_uniform(rng: Rng | None, shape, fan_in: int, gain: float = math.sqrt
 class Linear(Module):
     """y = x @ W + b with W of shape (in_dim, out_dim).
 
-    Weights default to the fan-in uniform U(-1/sqrt(in), 1/sqrt(in)]; pass
-    ``gain=sqrt(2)`` for the hotter rectifier variant.
+    Weights are drawn from the fan-in uniform U(-1/sqrt(in), 1/sqrt(in)].
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: Rng | None, dtype=np.float64,
-                 gain: float = 1.0 / math.sqrt(3.0)):
+    def __init__(self, in_dim: int, out_dim: int, rng: Rng | None, dtype=np.float64):
         super().__init__()
         self.in_dim, self.out_dim = in_dim, out_dim
+        gain = 1.0 / math.sqrt(3.0)
         self.weight = parameter(kaiming_uniform(rng, (in_dim, out_dim), in_dim, gain), dtype=dtype)
         bb = 1.0 / math.sqrt(in_dim)
         bias = np.zeros(out_dim) if rng is None else (2.0 * rng.uniform((out_dim,)) - 1.0) * bb

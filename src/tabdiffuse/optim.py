@@ -1,4 +1,4 @@
-"""Parameter storage, the smooth-L1 training loss, and AdamW."""
+"""The smooth-L1 training loss and AdamW."""
 
 from __future__ import annotations
 
@@ -7,40 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import Tensor, as_tensor, tmean, where_mask
-
-
-class ParamStore:
-    """Named trainable tensors, each with a matching gradient slot."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def register(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        if not tensor.requires_grad:
-            raise ValueError(f"parameter {name} must require gradients")
-        self._params[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = None
 
 
 def smooth_l1(pred: Tensor, target, beta: float = 1.0) -> Tensor:
@@ -66,11 +32,12 @@ def smooth_l1(pred: Tensor, target, beta: float = 1.0) -> Tensor:
 class AdamW:
     """Decoupled-weight-decay Adam with bias correction.
 
-    ``step()`` applies one update to every parameter whose gradient slot is
-    populated, zeroes all gradients, and returns how many it updated.
+    ``params`` maps names to trainable tensors, as ``Module.named_parameters``
+    yields them.  ``step()`` applies one update to every parameter with a
+    gradient, clears all gradients, and returns how many it updated.
     """
 
-    params: ParamStore
+    params: dict[str, Tensor]
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -102,5 +69,6 @@ class AdamW:
             m_hat = m / bc1
             v_hat = v / bc2
             p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
-        self.params.zero_grad()
+        for p in self.params.values():
+            p.grad = None
         return updated

@@ -41,10 +41,6 @@ class Rng:
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
-    def spawn(self, *indices: int) -> "Rng":
-        """Independent child stream identified by ``indices``."""
-        return Rng(derive_seed(self.seed, *indices))
-
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws on the half-open interval (0, 1]."""
         # 1 - U maps numpy's [0, 1) onto (0, 1], keeping log() finite below.

@@ -35,6 +35,11 @@ from .schedule import (
 )
 
 
+# Clean-state clamp applied inside every reverse step of ``impute``; keeps the
+# walk bounded even for an untrained network.
+CLIP_X0 = (-1.0, 2.0)
+
+
 @dataclass(frozen=True)
 class SamplerOptions:
     """Everything the sampling stage parameterizes."""
@@ -46,9 +51,6 @@ class SamplerOptions:
     jump_length: int = 1
     jump_n_sample: int = 1  # retrace depth j; 1 = no retracing
     seed: int = 0
-    # Clean-state clamp applied inside every reverse step; keeps the walk
-    # bounded even for an untrained network.  None disables it.
-    clip_x0: tuple[float, float] | None = (-1.0, 2.0)
 
     def __post_init__(self):
         if self.t_sampling < 1:
@@ -59,8 +61,6 @@ class SamplerOptions:
             raise ValueError("eta must be >= 0")
         if self.jump_length < 1 or self.jump_n_sample < 1:
             raise ValueError("jump parameters must be >= 1")
-        if self.clip_x0 is not None and not self.clip_x0[0] < self.clip_x0[1]:
-            raise ValueError("clip_x0 bounds must be ordered")
 
 
 @dataclass
@@ -81,10 +81,6 @@ class MaskedTable:
             raise ValueError("observations and mask must share a shape")
         if not np.all(np.isfinite(self.x_obs[self.mask])):
             raise ValueError("known entries must be finite")
-
-    @property
-    def n_missing(self) -> int:
-        return int((~self.mask).sum())
 
 
 # -- single-step operations -------------------------------------------------
@@ -253,10 +249,10 @@ def impute(
                 eps_hat = evaluate(x, np.full(n, _denoiser_time(t_math, sched.T, train_t)))
                 if dense:
                     unknown = ddpm_step(sched, x, t_math, eps_hat, step_noise,
-                                        clip_x0=opts.clip_x0)
+                                        clip_x0=CLIP_X0)
                 else:
                     unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, opts.eta,
-                                               step_noise, clip_x0=opts.clip_x0)
+                                               step_noise, clip_x0=CLIP_X0)
                 known = noisy_known(sched, x0, b + 1, eps_known)
                 x = combine(known, unknown, mask)
             else:  # retrace: re-noise the whole state from level a+1 up to b+1

@@ -37,10 +37,6 @@ class DiffusionSchedule:
         if not low <= t <= self.T:
             raise IndexError(f"time step {t} outside [{low}, {self.T}]")
 
-    def beta_at(self, t: int) -> float:
-        self._check(t)
-        return float(self.beta[t - 1])
-
     def alpha_at(self, t: int) -> float:
         self._check(t)
         return float(self.alpha[t - 1])

@@ -635,17 +635,6 @@ def sqrt(a) -> Tensor:
     return Tensor._from_op(data, (a,), backward, "sqrt")
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def backward(g, _a=a, _out=data):
-        if _a.requires_grad:
-            _route(_a, g * (1.0 - _out * _out))
-
-    return Tensor._from_op(data, (a,), backward, "tanh")
-
-
 def silu(a) -> Tensor:
     """x * sigmoid(x)."""
     a = as_tensor(a)

@@ -92,7 +92,7 @@ def train(
         sched = build_cosine_schedule(cfg.t_training)
 
     rng = Rng(cfg.seed)
-    opt = AdamW(denoiser.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(dict(denoiser.named_parameters()), lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[float] = []
     step = 0
     for epoch in range(cfg.epochs):

@@ -255,7 +255,7 @@ def test_criterion_4_schedule_invariants():
         for t in range(1, T + 1):
             abar_t = s.alpha_bar_at(t)
             abar_prev = s.alpha_bar_at(t - 1)
-            expect = math.sqrt((1.0 - abar_prev) / (1.0 - abar_t) * s.beta_at(t))
+            expect = math.sqrt((1.0 - abar_prev) / (1.0 - abar_t) * s.beta[t - 1])
             assert abs(s.posterior_sigma_at(t) - expect) <= 1e-12
     _report(4, "cosine schedule invariants for T in {100, 500, 1000}")
 

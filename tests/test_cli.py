@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tabdiffuse.cli import main, parse_config
+from tabdiffuse.cli import _parse_grid, main, parse_config
 from tabdiffuse.data import load_csv, write_csv
 from tabdiffuse.rng import Rng
 
@@ -107,9 +107,7 @@ def test_impute_reports_network_evaluations(workdir, tmp_path, capsys, monkeypat
 def test_impute_known_entries_pass_through(workdir, tmp_path):
     mask_path = tmp_path / "mask.csv"
     mask = Rng(3).uniform((400, 2)) > 0.4
-    from tabdiffuse.data import write_mask_csv
-
-    write_mask_csv(mask_path, mask, ["f1", "f2"])
+    write_csv(mask_path, mask.astype(int), ["f1", "f2"])
     out_path = tmp_path / "imp.csv"
     rc = main([
         "impute", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
@@ -494,6 +492,10 @@ def test_config_file_grid_string_for_benchmark(workdir, tmp_path):
     body = [l for l in (out_dir / "summary.csv").read_text().splitlines()
             if not l.startswith("#")]
     assert body[0] == "method,mcar-0.3,mcar-0.6"
+    # a grid value >= 1 is a percent, one below 1 a fraction
+    specs = _parse_grid(["mcar=1..21", "mcar=1,0.5"], n_features=2)
+    assert [s.label for s in specs] == ["mcar-0.01", "mcar-0.11", "mcar-0.21", "mcar-0.01",
+                                        "mcar-0.5"]
 
 
 # -- resolved config and config files -------------------------------------------------
@@ -702,6 +704,18 @@ def test_ablate_no_tst_checkpoint_feature_count_mismatch_exit_2(workdir, three_f
     assert "data has 2 features" in err and "expects 3" in err
 
 
+@pytest.fixture(scope="module")
+def misfit_tables(workdir):
+    """Tables that load but do not fit the run: a target with a nan in the
+    sixth data row (row 7 of the file), and the fixture's columns swapped."""
+    x = load_csv(workdir / "data.csv").features
+    y = x[:, 0].copy()
+    y[5] = np.nan
+    write_csv(workdir / "nan_target.csv", np.column_stack([x, y]), ["f1", "f2", "y"])
+    write_csv(workdir / "swapped.csv", x[:, ::-1] * 100.0, ["f2", "f1"])
+    return workdir
+
+
 @pytest.mark.parametrize("flags,message", [
     (["benchmark", "--methods", "mean", "--jobs", "0"], "must be >= 1"),
     (["benchmark", "--methods", "mean", "--n-inferences", "0"], "must be >= 1"),
@@ -713,13 +727,20 @@ def test_ablate_no_tst_checkpoint_feature_count_mismatch_exit_2(workdir, three_f
     (["train", "--arch", "resnet", "--batch-size", "133"], "1-row last batch"),
     (["benchmark", "--methods", "mean,diffusion-unet"], "no checkpoint provides it"),
     (["impute", "--checkpoint", "no/such.ckpt", "--mcar", "0.3"], "checkpoint not found"),
+    (["benchmark", "--data", "{work}/nan_target.csv", "--target", "y", "--methods", "mean"],
+     "non-finite target at row 7, column 'y'"),
+    (["impute", "--data", "{work}/swapped.csv", "--checkpoint", "{work}/run/checkpoint.ckpt",
+      "--mcar", "0.3"], "data feature 1 is 'f2', checkpoint"),
 ], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every",
         "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
-        "resnet-one-row-tail", "unknown-method", "missing-checkpoint"])
-def test_count_flags_below_one_exit_2_before_writing(workdir, tmp_path, capsys, flags, message):
+        "resnet-one-row-tail", "unknown-method", "missing-checkpoint", "non-finite-target",
+        "feature-names-differ"])
+def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys, flags,
+                                                     message):
     """Each of these exits 2 before any output is written: the run leaves no
-    file or directory behind."""
-    command, *rest = flags
+    file or directory behind.  A --data in the flags replaces the fixture table."""
+    workdir = misfit_tables
+    command, *rest = [f.format(work=workdir) for f in flags]
     out_flag = "--out-dir" if command == "benchmark" else "--out"
     assert main([command, "--data", str(workdir / "data.csv"), *rest,
                  out_flag, str(tmp_path / "o")]) == 2

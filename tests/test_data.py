@@ -13,7 +13,7 @@ from tabdiffuse.data import (
     read_mask_csv,
     split,
     write_csv,
-    write_mask_csv,
+    write_rows,
 )
 
 
@@ -23,7 +23,7 @@ from tabdiffuse.data import (
 def test_load_csv_roundtrip(tmp_path):
     path = tmp_path / "t.csv"
     values = np.array([[1.5, -2.25], [0.125, 3.0], [7.0, 0.0]])
-    write_csv(path, values, ["a", "b"], header_comments=["meta line"])
+    write_rows(path, ["a", "b"], values.tolist(), comments=["meta line"])
     ds = load_csv(path)
     assert ds.feature_names == ("a", "b")
     np.testing.assert_array_equal(ds.features, values)
@@ -70,7 +70,8 @@ def test_dataset_rejects_incomplete():
 
 def test_scaler_basic_mapping():
     sc = MinMaxScaler()
-    out = sc.fit_transform(np.array([[0.0], [5.0], [10.0]]))
+    X = np.array([[0.0], [5.0], [10.0]])
+    out = sc.fit(X).transform(X)
     np.testing.assert_allclose(out[:, 0], [0.0, 0.5, 1.0])
 
 
@@ -194,7 +195,7 @@ def test_mar_validation():
 def test_mask_csv_roundtrip(tmp_path):
     m = gen_mcar_mask(20, 3, 0.4, seed=2)
     path = tmp_path / "m.csv"
-    write_mask_csv(path, m, ["a", "b", "c"])
+    write_csv(path, m.astype(int), ["a", "b", "c"])
     np.testing.assert_array_equal(read_mask_csv(path), m)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def test_same_seed_same_weights(arch):
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_disabled_time_embedding_makes_t_irrelevant(arch):
-    cfg = tiny(arch).without_time_embedding()
+    cfg = dataclasses.replace(tiny(arch), time_embedding=False)
     den = build_denoiser(cfg, seed=5)
     x, _ = fixture_batch(cfg.n_features)
     low = den(x, np.full(5, 1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import check_gradients
-from tabdiffuse.optim import AdamW, ParamStore, smooth_l1
+from tabdiffuse.optim import AdamW, smooth_l1
 from tabdiffuse.tensor import Tensor, parameter
 
 
@@ -56,34 +56,12 @@ def test_smooth_l1_gradient_sign_and_fd():
     check_gradients(lambda: smooth_l1(w2, Tensor(np.zeros(4)), beta=1.0), [w2])
 
 
-# -- ParamStore ---------------------------------------------------------------
-
-
-def test_param_store_unique_names():
-    store = ParamStore()
-    store.register("w", parameter(np.ones(2)))
-    with pytest.raises(ValueError):
-        store.register("w", parameter(np.ones(2)))
-
-
-def test_param_store_rejects_non_trainable():
-    store = ParamStore()
-    with pytest.raises(ValueError):
-        store.register("w", Tensor(np.ones(2)))
-
-
 # -- AdamW ---------------------------------------------------------------------
 
 
-def _store_with(name, arr):
-    store = ParamStore()
-    p = store.register(name, parameter(arr))
-    return store, p
-
-
 def test_adamw_zero_grad_no_motion():
-    store, p = _store_with("w", np.array([1.0, -2.0]))
-    opt = AdamW(store, lr=0.1, weight_decay=0.0)
+    p = parameter(np.array([1.0, -2.0]))
+    opt = AdamW({"w": p}, lr=0.1, weight_decay=0.0)
     p.grad = np.zeros(2)
     before = p.data.copy()
     opt.step()
@@ -92,8 +70,8 @@ def test_adamw_zero_grad_no_motion():
 
 def test_adamw_single_step_hand_value():
     # g=1, lr=0.1, defaults: bias-corrected m_hat/sqrt(v_hat) == 1 exactly.
-    store, p = _store_with("w", np.array([0.0]))
-    opt = AdamW(store, lr=0.1, weight_decay=0.0)
+    p = parameter(np.array([0.0]))
+    opt = AdamW({"w": p}, lr=0.1, weight_decay=0.0)
     p.grad = np.array([1.0])
     opt.step()
     assert p.data[0] == pytest.approx(-0.1, abs=1e-8)
@@ -101,8 +79,8 @@ def test_adamw_single_step_hand_value():
 
 
 def test_adamw_descent_direction():
-    store, p = _store_with("w", np.array([0.0]))
-    opt = AdamW(store, lr=0.01, weight_decay=0.0)
+    p = parameter(np.array([0.0]))
+    opt = AdamW({"w": p}, lr=0.01, weight_decay=0.0)
     for _ in range(50):
         p.grad = np.array([3.0])
         opt.step()
@@ -110,8 +88,8 @@ def test_adamw_descent_direction():
 
 
 def test_adamw_decoupled_weight_decay():
-    store, p = _store_with("w", np.array([1.0]))
-    opt = AdamW(store, lr=0.1, weight_decay=0.5)
+    p = parameter(np.array([1.0]))
+    opt = AdamW({"w": p}, lr=0.1, weight_decay=0.5)
     p.grad = np.array([0.0])
     opt.step()
     # pure decay: w <- w - lr*wd*w
@@ -119,8 +97,8 @@ def test_adamw_decoupled_weight_decay():
 
 
 def test_adamw_shape_mismatch_rejected():
-    store, p = _store_with("w", np.array([1.0, 2.0]))
-    opt = AdamW(store, lr=0.1)
+    p = parameter(np.array([1.0, 2.0]))
+    opt = AdamW({"w": p}, lr=0.1)
     p.grad = np.zeros(3)
     with pytest.raises(ValueError):
         opt.step()

@@ -42,14 +42,6 @@ def test_integers_range():
     assert len(np.unique(t)) == 10
 
 
-def test_spawn_streams_are_disjoint_and_stable():
-    base = Rng(42)
-    a1 = base.spawn(0).normal((4,))
-    a2 = base.spawn(1).normal((4,))
-    assert not np.array_equal(a1, a2)
-    np.testing.assert_array_equal(Rng(42).spawn(0).normal((4,)), a1)
-
-
 def test_derive_seed_path_sensitivity():
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(1) != derive_seed(2)

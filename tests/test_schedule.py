@@ -68,7 +68,7 @@ def test_posterior_sigma_closed_form(T):
     for t in [1, 2, T // 2, T - 1, T]:
         abar_t = s.alpha_bar_at(t)
         abar_prev = s.alpha_bar_at(t - 1)
-        expect = math.sqrt((1.0 - abar_prev) / (1.0 - abar_t) * s.beta_at(t))
+        expect = math.sqrt((1.0 - abar_prev) / (1.0 - abar_t) * s.beta[t - 1])
         assert abs(s.posterior_sigma_at(t) - expect) <= 1e-12
 
 

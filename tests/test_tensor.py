@@ -77,14 +77,13 @@ def test_broadcast_add_mul_backward():
 
 @pytest.mark.parametrize(
     "opname",
-    ["relu", "exp", "log", "sqrt", "tanh", "silu", "gelu", "abs"],
+    ["relu", "exp", "log", "sqrt", "silu", "gelu", "abs"],
 )
 def test_elementwise_op_gradients(opname):
     p = parameter(np.array([0.31, 0.77, 1.53, 2.1]))
     op = {
         "relu": T.relu, "exp": T.exp, "log": T.log, "sqrt": T.sqrt,
-        "tanh": T.tanh, "silu": T.silu,
-        "gelu": T.gelu, "abs": T.absolute,
+        "silu": T.silu, "gelu": T.gelu, "abs": T.absolute,
     }[opname]
     check_gradients(lambda: op(p).sum(), [p])
 
@@ -403,7 +402,7 @@ def test_grad_mode_and_sink_are_per_thread():
         w, b = parameter(w0.copy()), parameter(b0.copy())
         h = T.linear(x, w, b)
         for _ in range(8):  # a deep graph keeps the backward pass busy
-            h = T.tanh(h) * 1.5
+            h = T.gelu(h) * 1.5
         (h**2.0).sum().backward()
         return w.grad, b.grad
 

@@ -206,7 +206,7 @@ def test_float32_training_and_sampling_smoke():
 
 
 def _snapshot(den):
-    return {name: p.data.copy() for name, p in den.params.items()}
+    return {name: p.data.copy() for name, p in den.named_parameters()}
 
 
 def test_threaded_impute_then_train_updates_every_weight():
@@ -228,7 +228,7 @@ def test_threaded_impute_then_train_updates_every_weight():
     den = tiny_mlp(seed=4)
     before = _snapshot(den)
     train(den, data, TrainingConfig(epochs=1, batch_size=64, t_training=50))
-    unchanged = [n for n, p in den.params.items() if np.array_equal(p.data, before[n])]
+    unchanged = [n for n, p in den.named_parameters() if np.array_equal(p.data, before[n])]
     assert unchanged == []
 
 
@@ -244,5 +244,5 @@ def test_disabled_tokenizer_alone_without_gradients_is_not_an_error():
     den = build_denoiser(cfg, seed=0)
     before = _snapshot(den)
     train(den, data, TrainingConfig(epochs=1, batch_size=64, t_training=50))
-    unchanged = {n for n, p in den.params.items() if np.array_equal(p.data, before[n])}
+    unchanged = {n for n, p in den.named_parameters() if np.array_equal(p.data, before[n])}
     assert unchanged == {n for n in before if n.startswith("tokenizer.")}
