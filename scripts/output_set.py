@@ -6,7 +6,8 @@ architectures (one with ``--checkpoint-every``, one with
 ``--no-time-embedding``), a dense ``impute`` and a skip-step ``impute`` with
 retracing, a ``benchmark`` with a binary ``--target``, ``--jobs 2``,
 ``--report-space raw`` and two diffusion methods over an MCAR and a MAR
-setting, and all three ``ablate`` presets.  Each line of the manifest is
+setting, a ``benchmark`` with a regression ``--target``, and all three
+``ablate`` presets.  It writes 48 files.  Each line of the manifest is
 ``<sha256>  <path relative to OUT>``, so two manifests diff line for line.
 
 The commands run through whichever ``tabdiffuse`` is importable, so the same
@@ -42,7 +43,8 @@ def write_table(path: Path, values: np.ndarray, names: list[str]) -> None:
 
 
 def commands(out: Path) -> list[list[str]]:
-    data, labeled = str(out / "data.csv"), str(out / "labeled.csv")
+    data, labeled, regression = (str(out / f"{name}.csv")
+                                 for name in ("data", "labeled", "regression"))
 
     def ckpt(name: str) -> str:
         return str(out / name / "checkpoint.ckpt")
@@ -70,6 +72,9 @@ def commands(out: Path) -> list[list[str]]:
          "--checkpoint", ckpt("mlp"), "--checkpoint", ckpt("unet"), "--grid", "mcar=30", "mar=1",
          "--n-mask-seeds", "2", "--jobs", "2", "--report-space", "raw", "--tau", "10",
          *sampler, "--out-dir", str(out / "benchmark")],
+        ["benchmark", "--data", regression, "--target", "y", "--methods", "mean,diffusion-mlp",
+         "--checkpoint", ckpt("mlp"), "--grid", "mcar=30", "--n-mask-seeds", "1", *sampler,
+         "--out-dir", str(out / "benchmark-regression")],
         ["ablate", "--checkpoint", ckpt("mlp"), "--data", data, "--preset", "tau-sweep",
          *sampler, "--n-mask-seeds", "2", "--out-dir", str(out / "ablate-tau")],
         ["ablate", "--checkpoint", ckpt("mlp"), "--data", data, "--preset", "harmonization",
@@ -99,10 +104,11 @@ def main() -> int:
 
     z = np.random.default_rng(SEED).standard_normal((ROWS, COLS + 1))
     x = np.cumsum(z[:, :COLS], axis=1)  # neighbouring columns correlate
-    y = (x[:, 0] + z[:, COLS] > 0).astype(float)
+    y = x[:, 0] + z[:, COLS]
     names = [f"f{j + 1}" for j in range(COLS)]
     write_table(out / "data.csv", x, names)
-    write_table(out / "labeled.csv", np.column_stack([x, y]), names + ["y"])
+    write_table(out / "labeled.csv", np.column_stack([x, y > 0]), names + ["y"])
+    write_table(out / "regression.csv", np.column_stack([x, y]), names + ["y"])
 
     for argv in commands(out):
         rc = cli(argv)

@@ -21,7 +21,7 @@ from .metrics import accuracy as accuracy_score
 from .metrics import mse_missing, pearson_missing, rmse
 from .optim import AdamW
 from .rng import Rng, derive_seed
-from .tensor import Tensor, log, softmax
+from .tensor import Tensor, linear, log, softmax
 from . import data as data_mod
 
 
@@ -96,6 +96,7 @@ def ensemble_eval(
     averaged imputation is stored under (method, spec.label) for downstream
     evaluation.  ``score_transform`` maps truth and imputation into the
     reporting space (e.g. a scaler's inverse) before the metrics are computed.
+    A mask that hides no entry raises ``ValueError`` before it is imputed.
     """
     if n_mask_seeds < 1:
         raise ValueError(f"the number of mask seeds must be >= 1, got {n_mask_seeds}")
@@ -106,6 +107,8 @@ def ensemble_eval(
     for s in range(n_mask_seeds):
         mask_seed = derive_seed(base_seed, s)
         mask = spec.generate(n_rows, n_cols, mask_seed)
+        if mask.all():
+            raise ValueError(f"the {spec.label} mask of mask seed {s} hides no entry to score")
         x_obs = np.where(mask, x_true, 0.0)
         avg = average_inferences(lambda seed: impute_fn(x_obs, mask, seed), n_inferences,
                                  mask_seed)
@@ -229,7 +232,7 @@ def downstream_eval(
     opt = AdamW({"W": W, "b": b}, lr=lr, weight_decay=weight_decay)
     Xt = Tensor(train_X)
     for _ in range(steps):
-        logits = Xt @ W + b
+        logits = linear(Xt, W, b)
         if task == "regression":
             d = logits - y_fit
             loss = (d * d).mean()

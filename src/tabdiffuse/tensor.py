@@ -21,12 +21,9 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float64
 
-# Grad mode, and the gradient sink of the backward pass in flight (id(tensor)
-# of an intermediate node -> its accumulated upstream gradient).  Both are
-# per thread: a no_grad() block or a backward pass in one thread never
-# changes another's, and every thread starts from the defaults.
+# Grad mode is per thread: a no_grad() block in one thread never changes
+# another's, and every thread starts with recording on.
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
-_active_sink: ContextVar[dict[int, np.ndarray] | None] = ContextVar("active_sink", default=None)
 
 
 class NumericError(ArithmeticError):
@@ -59,16 +56,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _route(t: "Tensor", grad: np.ndarray) -> None:
-    """Hand a parent its upstream gradient during a backward pass."""
-    sink = _active_sink.get()
-    if t._backward is not None and sink is not None:
-        cur = sink.get(id(t))
-        sink[id(t)] = grad if cur is None else cur + grad
-    else:
-        t._accumulate(grad)
-
-
 class Tensor:
     """N-dimensional array with optional gradient tracking."""
 
@@ -82,14 +69,14 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     @staticmethod
     def _from_op(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
         op: str,
     ) -> "Tensor":
         _check_finite(data, op)
@@ -139,10 +126,18 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; accumulates into leaf ``grad`` slots."""
+        """Backpropagate from a scalar; accumulates into leaf ``grad`` slots.
+
+        Each op's backward returns one gradient per parent, ``None`` for a
+        parent that needs none.  This walk is the only place that routes
+        them: a leaf accumulates its share at once, and the shares of an
+        intermediate node are summed in ``grads``, in the order they arrive,
+        until the walk reaches it.  All of it is local, so backward passes in
+        different threads share nothing.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        # Iterative topological sort; training graphs can be deep.
+        # Iterative topological sort of the op nodes; training graphs can be deep.
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -156,22 +151,23 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
+                if id(p) not in visited and p._backward is not None:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        token = _active_sink.set(grads)
-        try:
-            for node in reversed(topo):
-                g = grads.pop(id(node), None)
-                if g is None:
+        for node in reversed(topo):
+            g = grads.pop(id(node))
+            if node._backward is None:  # a leaf called backward() on itself
+                node._accumulate(g)
+                continue
+            for p, pg in zip(node._parents, node._backward(g), strict=True):
+                if pg is None:
                     continue
-                if node._backward is None:
-                    node._accumulate(g)
+                if p._backward is None:
+                    p._accumulate(pg)
                 else:
-                    node._backward(g)
-        finally:
-            _active_sink.reset(token)
+                    cur = grads.get(id(p))
+                    grads[id(p)] = pg if cur is None else cur + pg
 
     # -- operators ------------------------------------------------------------
 
@@ -263,10 +259,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g, _a=a, _b=b):
-        if _a.requires_grad:
-            _route(_a, _unbroadcast(g, _a.shape))
-        if _b.requires_grad:
-            _route(_b, _unbroadcast(g, _b.shape))
+        return (_unbroadcast(g, _a.shape) if _a.requires_grad else None,
+                _unbroadcast(g, _b.shape) if _b.requires_grad else None)
 
     return Tensor._from_op(data, (a, b), backward, "add")
 
@@ -276,10 +270,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g, _a=a, _b=b):
-        if _a.requires_grad:
-            _route(_a, _unbroadcast(g * _b.data, _a.shape))
-        if _b.requires_grad:
-            _route(_b, _unbroadcast(g * _a.data, _b.shape))
+        return (_unbroadcast(g * _b.data, _a.shape) if _a.requires_grad else None,
+                _unbroadcast(g * _a.data, _b.shape) if _b.requires_grad else None)
 
     return Tensor._from_op(data, (a, b), backward, "mul")
 
@@ -290,8 +282,7 @@ def power(a, exponent: float) -> Tensor:
         data = a.data**exponent
 
     def backward(g, _a=a, _e=exponent):
-        if _a.requires_grad:
-            _route(_a, g * _e * _a.data ** (_e - 1.0))
+        return (g * _e * _a.data ** (_e - 1.0),)
 
     return Tensor._from_op(data, (a,), backward, "power")
 
@@ -301,12 +292,9 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g, _a=a, _b=b):
-        if _a.requires_grad:
-            ga = g @ np.swapaxes(_b.data, -1, -2)
-            _route(_a, _unbroadcast(ga, _a.shape))
-        if _b.requires_grad:
-            gb = np.swapaxes(_a.data, -1, -2) @ g
-            _route(_b, _unbroadcast(gb, _b.shape))
+        ga = _unbroadcast(g @ np.swapaxes(_b.data, -1, -2), _a.shape) if _a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(_a.data, -1, -2) @ g, _b.shape) if _b.requires_grad else None
+        return ga, gb
 
     return Tensor._from_op(data, (a, b), backward, "matmul")
 
@@ -326,12 +314,9 @@ def linear(x, weight, bias) -> Tensor:
 
     def backward(g, _x=x, _w=weight, _b=bias, _x2=x2):
         g2 = g.reshape(-1, _w.shape[1])
-        if _b.requires_grad:
-            _route(_b, g2.sum(axis=0))
-        if _w.requires_grad:
-            _route(_w, _x2.T @ g2)
-        if _x.requires_grad:
-            _route(_x, (g2 @ _w.data.T).reshape(_x.shape))
+        return ((g2 @ _w.data.T).reshape(_x.shape) if _x.requires_grad else None,
+                _x2.T @ g2 if _w.requires_grad else None,
+                g2.sum(axis=0) if _b.requires_grad else None)
 
     return Tensor._from_op(data, (x, weight, bias), backward, "linear")
 
@@ -357,17 +342,19 @@ def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str) -> Tensor:
     data += beta.data
 
     def backward(g, _x=x, _gamma=gamma, _beta=beta, _xhat=xhat, _r=r):
-        if _beta.requires_grad:
-            _route(_beta, _unbroadcast(g, _beta.shape))
-        if _gamma.requires_grad:
-            _route(_gamma, _unbroadcast(g * _xhat.reshape(g.shape), _gamma.shape))
+        gx = gg = gb = None
         if _x.requires_grad:
             gh = (g * _gamma.data).reshape(view)
             gx = gh - gh.mean(axis=-1, keepdims=True)
             gh *= _xhat
             gx -= _xhat * gh.mean(axis=-1, keepdims=True)
             gx *= _r
-            _route(_x, gx.reshape(_x.shape))
+            gx = gx.reshape(_x.shape)
+        if _gamma.requires_grad:
+            gg = _unbroadcast(g * _xhat.reshape(g.shape), _gamma.shape)
+        if _beta.requires_grad:
+            gb = _unbroadcast(g, _beta.shape)
+        return gx, gg, gb
 
     return Tensor._from_op(data, (x, gamma, beta), backward, op)
 
@@ -434,10 +421,6 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, drop_mask=None) -> 
 
     def backward(g, _x2=x2, _q=q, _k=k, _v=v, _p=probs, _pd=dropped, _m=drop_mask, _om=merged):
         g2 = g.reshape(-1, d)
-        if bo.requires_grad:
-            _route(bo, g2.sum(axis=0))
-        if wo.requires_grad:
-            _route(wo, _om.T @ g2)
         gmix = (g2 @ wo.data.T).reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
         gv = _pd.transpose(0, 1, 3, 2) @ gmix
         gs = gmix @ _v.transpose(0, 1, 3, 2)  # d(dropped probabilities)
@@ -447,17 +430,16 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, drop_mask=None) -> 
         gs *= _p
         gs *= scale
         gq, gk = gs @ _k, gs.transpose(0, 1, 3, 2) @ _q
-        gx = None
+        gx, shares = None, []
         for gh, w, b in ((gq, wq, bq), (gk, wk, bk), (gv, wv, bv)):
             gh2 = gh.transpose(0, 2, 1, 3).reshape(-1, d)
-            if b.requires_grad:
-                _route(b, gh2.sum(axis=0))
-            if w.requires_grad:
-                _route(w, _x2.T @ gh2)
+            shares += [_x2.T @ gh2 if w.requires_grad else None,
+                       gh2.sum(axis=0) if b.requires_grad else None]
             if x.requires_grad:
                 gx = gh2 @ w.data.T if gx is None else gx + gh2 @ w.data.T
-        if x.requires_grad:
-            _route(x, gx.reshape(x.shape))
+        return (None if gx is None else gx.reshape(x.shape), *shares,
+                _om.T @ g2 if wo.requires_grad else None,
+                g2.sum(axis=0) if bo.requires_grad else None)
 
     return Tensor._from_op(data, params, backward, "attention")
 
@@ -484,17 +466,16 @@ def reglu_film(u, scale, shift) -> Tensor:
     def backward(g, _u=u, _scale=scale, _shift=shift, _s1=scale1):
         value, gate = _u.data[..., :h], _u.data[..., h:]
         rect = np.maximum(gate, 0.0)
-        if _shift.requires_grad:
-            _route(_shift, _unbroadcast(g, _shift.shape))
-        if _scale.requires_grad:
-            _route(_scale, _unbroadcast(g * (value * rect), _scale.shape))
+        gu = None
         if _u.requires_grad:
             gh = g * _s1  # d(value * relu(gate))
             gu = np.empty_like(_u.data)
             np.multiply(gh, rect, out=gu[..., :h])
             np.multiply(gh, value, out=gu[..., h:])
             gu[..., h:] *= gate > 0.0
-            _route(_u, gu)
+        return (gu,
+                _unbroadcast(g * (value * rect), _scale.shape) if _scale.requires_grad else None,
+                _unbroadcast(g, _shift.shape) if _shift.requires_grad else None)
 
     return Tensor._from_op(data, (u, scale, shift), backward, "reglu_film")
 
@@ -507,11 +488,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g, _a=a, _axis=axis, _keep=keepdims):
-        if not _a.requires_grad:
-            return
         if _axis is not None and not _keep:
             g = np.expand_dims(g, _axis)
-        _route(_a, np.broadcast_to(g, _a.shape).copy())
+        return (np.broadcast_to(g, _a.shape).copy(),)
 
     return Tensor._from_op(np.asarray(data), (a,), backward, "sum")
 
@@ -530,8 +509,7 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(g, _a=a):
-        if _a.requires_grad:
-            _route(_a, g.reshape(_a.shape))
+        return (g.reshape(_a.shape),)
 
     return Tensor._from_op(data, (a,), backward, "reshape")
 
@@ -541,9 +519,8 @@ def transpose(a, axes) -> Tensor:
     data = a.data.transpose(axes)
     inv = tuple(np.argsort(axes))
 
-    def backward(g, _a=a, _inv=inv):
-        if _a.requires_grad:
-            _route(_a, g.transpose(_inv))
+    def backward(g, _inv=inv):
+        return (g.transpose(_inv),)
 
     return Tensor._from_op(data, (a,), backward, "transpose")
 
@@ -553,10 +530,9 @@ def take(a, key) -> Tensor:
     data = a.data[key]
 
     def backward(g, _a=a, _key=key):
-        if _a.requires_grad:
-            full = np.zeros_like(_a.data)
-            np.add.at(full, _key, g)
-            _route(_a, full)
+        full = np.zeros_like(_a.data)
+        np.add.at(full, _key, g)
+        return (full,)
 
     return Tensor._from_op(np.asarray(data), (a,), backward, "take")
 
@@ -568,10 +544,11 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g, _ts=ts, _axis=axis, _off=offsets):
         slicer: list = [slice(None)] * g.ndim
+        shares = []
         for t, lo, hi in zip(_ts, _off[:-1], _off[1:]):
-            if t.requires_grad:
-                slicer[_axis] = slice(int(lo), int(hi))
-                _route(t, g[tuple(slicer)])
+            slicer[_axis] = slice(int(lo), int(hi))
+            shares.append(g[tuple(slicer)] if t.requires_grad else None)
+        return shares
 
     return Tensor._from_op(data, ts, backward, "concat")
 
@@ -584,8 +561,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g, _a=a):
-        if _a.requires_grad:
-            _route(_a, g * (_a.data > 0.0))
+        return (g * (_a.data > 0.0),)
 
     return Tensor._from_op(data, (a,), backward, "relu")
 
@@ -595,8 +571,7 @@ def absolute(a) -> Tensor:
     data = np.abs(a.data)
 
     def backward(g, _a=a):
-        if _a.requires_grad:
-            _route(_a, g * np.sign(_a.data))
+        return (g * np.sign(_a.data),)
 
     return Tensor._from_op(data, (a,), backward, "abs")
 
@@ -605,9 +580,8 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
 
-    def backward(g, _a=a, _out=data):
-        if _a.requires_grad:
-            _route(_a, g * _out)
+    def backward(g, _out=data):
+        return (g * _out,)
 
     return Tensor._from_op(data, (a,), backward, "exp")
 
@@ -618,21 +592,9 @@ def log(a) -> Tensor:
         data = np.log(a.data)
 
     def backward(g, _a=a):
-        if _a.requires_grad:
-            _route(_a, g / _a.data)
+        return (g / _a.data,)
 
     return Tensor._from_op(data, (a,), backward, "log")
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-
-    def backward(g, _a=a, _out=data):
-        if _a.requires_grad:
-            _route(_a, g * 0.5 / _out)
-
-    return Tensor._from_op(data, (a,), backward, "sqrt")
 
 
 def silu(a) -> Tensor:
@@ -644,8 +606,7 @@ def silu(a) -> Tensor:
     data = a.data * s
 
     def backward(g, _a=a, _s=s):
-        if _a.requires_grad:
-            _route(_a, g * (_s + _a.data * _s * (1.0 - _s)))
+        return (g * (_s + _a.data * _s * (1.0 - _s)),)
 
     return Tensor._from_op(data, (a,), backward, "silu")
 
@@ -663,9 +624,8 @@ def gelu(a) -> Tensor:
 
     def backward(g, _a=a, _t=t):
         x = _a.data
-        if _a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-            _route(_a, g * (0.5 * (1.0 + _t) + 0.5 * x * (1.0 - _t * _t) * d_inner))
+        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+        return (g * (0.5 * (1.0 + _t) + 0.5 * x * (1.0 - _t * _t) * d_inner),)
 
     return Tensor._from_op(data, (a,), backward, "gelu")
 
@@ -711,15 +671,15 @@ def conv1d(x, weight, bias, padding: int = 1) -> Tensor:
 
     def backward(g, _x=x, _w=weight, _b=bias, _cols=cols):
         g2 = g.transpose(0, 2, 1).reshape(B * Lout, O)
-        if _b.requires_grad:
-            _route(_b, g2.sum(axis=0))
-        if _w.requires_grad:
-            _route(_w, (g2.T @ _cols).reshape(O, C, K))
+        gx = None
         if _x.requires_grad:
             gcols = (g2 @ _w.data.reshape(O, C * K)).reshape(B, Lout, C, K)
             gxp = np.zeros((B, C, L + 2 * padding), dtype=_x.data.dtype)
             for k in range(K):
                 gxp[:, :, k : k + Lout] += gcols[:, :, :, k].transpose(0, 2, 1)
-            _route(_x, gxp[:, :, padding : padding + L])
+            gx = gxp[:, :, padding : padding + L]
+        return (gx,
+                (g2.T @ _cols).reshape(O, C, K) if _w.requires_grad else None,
+                g2.sum(axis=0) if _b.requires_grad else None)
 
     return Tensor._from_op(data, (x, weight, bias), backward, "conv1d")

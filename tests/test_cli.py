@@ -731,17 +731,22 @@ def misfit_tables(workdir):
      "non-finite target at row 7, column 'y'"),
     (["impute", "--data", "{work}/swapped.csv", "--checkpoint", "{work}/run/checkpoint.ckpt",
       "--mcar", "0.3"], "data feature 1 is 'f2', checkpoint"),
+    # masks that hide no cell of the fixture's test split
+    (["benchmark", "--methods", "mean", "--grid", "mcar=1", "--n-mask-seeds", "1",
+      "--seed", "1"], "the mcar-0.01 mask of mask seed 0 hides no entry"),
+    (["ablate", "--checkpoint", "{work}/run/checkpoint.ckpt", "--preset", "harmonization",
+      "--mcar", "0.002", "--n-mask-seeds", "3"], "the mcar-0.002 mask of mask seed 1 hides no"),
 ], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every",
         "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
         "resnet-one-row-tail", "unknown-method", "missing-checkpoint", "non-finite-target",
-        "feature-names-differ"])
+        "feature-names-differ", "benchmark-mask-hides-nothing", "ablate-mask-hides-nothing"])
 def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys, flags,
                                                      message):
     """Each of these exits 2 before any output is written: the run leaves no
     file or directory behind.  A --data in the flags replaces the fixture table."""
     workdir = misfit_tables
     command, *rest = [f.format(work=workdir) for f in flags]
-    out_flag = "--out-dir" if command == "benchmark" else "--out"
+    out_flag = "--out-dir" if command in ("benchmark", "ablate") else "--out"
     assert main([command, "--data", str(workdir / "data.csv"), *rest,
                  out_flag, str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err

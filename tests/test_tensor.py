@@ -77,12 +77,12 @@ def test_broadcast_add_mul_backward():
 
 @pytest.mark.parametrize(
     "opname",
-    ["relu", "exp", "log", "sqrt", "silu", "gelu", "abs"],
+    ["relu", "exp", "log", "silu", "gelu", "abs"],
 )
 def test_elementwise_op_gradients(opname):
     p = parameter(np.array([0.31, 0.77, 1.53, 2.1]))
     op = {
-        "relu": T.relu, "exp": T.exp, "log": T.log, "sqrt": T.sqrt,
+        "relu": T.relu, "exp": T.exp, "log": T.log,
         "silu": T.silu, "gelu": T.gelu, "abs": T.absolute,
     }[opname]
     check_gradients(lambda: op(p).sum(), [p])
@@ -136,6 +136,35 @@ def test_reused_node_accumulates():
     loss = (p * p + p).sum()  # d/dp = 2p + 1 = 5
     loss.backward()
     np.testing.assert_allclose(p.grad, [5.0])
+
+
+# 1e16 + 1.0 rounds back to 1e16, so each sum below reads 0.0 or 1.0 by the
+# order in which the shares were added.
+@pytest.mark.parametrize("coeffs,expect", [
+    ((1e16, 1.0, -1e16), 0.0),
+    ((1.0, 1e16, -1e16), 0.0),
+    ((1e16, -1e16, 1.0), 1.0),
+])
+@pytest.mark.parametrize("node", ["leaf", "intermediate"])
+def test_gradient_shares_sum_in_arrival_order(coeffs, expect, node):
+    p = parameter([1.0])
+    x = p if node == "leaf" else p * 1.0
+    sum((x * c).sum() for c in coeffs).backward()
+    assert p.grad.tolist() == [expect]
+
+
+@pytest.mark.parametrize("negate_middle,weights,expect", [
+    (True, [1.0, 1.0, -1.0, 1.0, 1.0, 1.0], [3.0, 1.0]),
+    # the leaf takes both direct shares before the share through p * -1.0
+    (True, [1e16, 1.0, 1e16, 1.0, 1.0, 1.0], [0.0, 1.0]),
+    # three direct shares in parent order, (1 + 1e16) - 1e16; the reverse order gives 1.0
+    (False, [1.0, 1.0, 1e16, 1.0, -1e16, 1.0], [0.0, 3.0]),
+])
+def test_concat_shares_reach_the_leaf_in_walk_order(negate_middle, weights, expect):
+    p = parameter([1e16, 1.0])
+    parts = [p, p * -1.0 if negate_middle else p, p]
+    (T.concat(parts) * np.array(weights)).sum().backward()
+    assert p.grad.tolist() == expect
 
 
 def test_backward_requires_scalar():
@@ -390,7 +419,7 @@ def test_fused_ops_reject_nonfinite_output(op):
         call()
 
 
-# -- grad mode and the gradient sink are per thread ------------------------------------
+# -- grad mode is per thread, and backward passes share nothing ------------------------
 
 
 def test_grad_mode_and_sink_are_per_thread():
