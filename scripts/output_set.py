@@ -3,11 +3,13 @@
 
 The set covers each command's output paths: ``train`` for all four
 architectures (one with ``--checkpoint-every``, one with
-``--no-time-embedding``), a dense ``impute`` and a skip-step ``impute`` with
-retracing, a ``benchmark`` with a binary ``--target``, ``--jobs 2``,
+``--no-time-embedding``), a dense ``impute``, a skip-step ``impute`` with
+retracing, an MLP trained on a 10000x4 table and an ``impute`` of that table
+(large enough that OpenBLAS rounds a row shard differently from one call
+over all the rows, so a change to the shard cuts shows), a ``benchmark`` with a binary ``--target``, ``--jobs 2``,
 ``--report-space raw`` and two diffusion methods over an MCAR and a MAR
 setting, a ``benchmark`` with a regression ``--target``, and all three
-``ablate`` presets.  It writes 48 files.  Each line of the manifest is
+``ablate`` presets.  It writes 54 files.  Each line of the manifest is
 ``<sha256>  <path relative to OUT>``, so two manifests diff line for line.
 
 The commands run through whichever ``tabdiffuse`` is importable, so the same
@@ -33,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 ROWS, COLS, SEED = 240, 5, 3
+LARGE_ROWS, LARGE_COLS = 10000, 4
 
 
 def write_table(path: Path, values: np.ndarray, names: list[str]) -> None:
@@ -43,8 +46,8 @@ def write_table(path: Path, values: np.ndarray, names: list[str]) -> None:
 
 
 def commands(out: Path) -> list[list[str]]:
-    data, labeled, regression = (str(out / f"{name}.csv")
-                                 for name in ("data", "labeled", "regression"))
+    data, labeled, regression, large = (str(out / f"{name}.csv")
+                                        for name in ("data", "labeled", "regression", "large"))
 
     def ckpt(name: str) -> str:
         return str(out / name / "checkpoint.ckpt")
@@ -67,6 +70,11 @@ def commands(out: Path) -> list[list[str]]:
         ["impute", "--checkpoint", ckpt("transformer"), "--data", data, "--mar", "2",
          "--tau", "10", "--jump-length", "2", "--jump-n-sample", "2", *sampler,
          "--out", str(out / "impute-skip.csv")],
+        ["train", "--data", large, "--arch", "mlp", "--epochs", "1", "--T", "100",
+         "--out", str(out / "mlp-large")],
+        ["impute", "--checkpoint", ckpt("mlp-large"), "--data", large, "--mcar", "0.3",
+         "--T-sampling", "20", "--n-inferences", "1", "--seed", "2",
+         "--out", str(out / "impute-large.csv")],
         ["benchmark", "--data", labeled, "--target", "y",
          "--methods", "mean,median,mode,const0,const1,locf,nocb,diffusion-mlp,diffusion-unet",
          "--checkpoint", ckpt("mlp"), "--checkpoint", ckpt("unet"), "--grid", "mcar=30", "mar=1",
@@ -107,6 +115,8 @@ def main() -> int:
     y = x[:, 0] + z[:, COLS]
     names = [f"f{j + 1}" for j in range(COLS)]
     write_table(out / "data.csv", x, names)
+    large = np.random.default_rng(SEED + 1).standard_normal((LARGE_ROWS, LARGE_COLS))
+    write_table(out / "large.csv", np.cumsum(large, axis=1), names[:LARGE_COLS])
     write_table(out / "labeled.csv", np.column_stack([x, y > 0]), names + ["y"])
     write_table(out / "regression.csv", np.column_stack([x, y]), names + ["y"])
 

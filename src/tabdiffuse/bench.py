@@ -1,14 +1,15 @@
 """Evaluation protocol: mask grids, ensemble inference, downstream fits, ranks.
 
-Protocol per (method, mask setting): draw ``n_mask_seeds`` masks; for each
-mask average ``n_inferences`` independently seeded imputations and score
-that average; report the mean of the per-mask scores.  Deterministic
-imputers are unaffected by the averaging, stochastic ones are smoothed by
-it.  ``average_inferences`` is the package's only loop that averages
-inferences: ``ensemble_eval`` uses it per mask, and the ``impute`` command
-uses it on the user's table.  Ranks are computed within each setting
-(1 = best, ties averaged) and aggregated as mean/std per method across
-settings.
+Protocol per (method, mask setting): draw ``n_mask_seeds`` masks
+(``draw_masks``, once per setting, before any imputation, shared by every
+method); for each mask average ``n_inferences`` independently seeded
+imputations and score that average; report the mean of the per-mask
+scores.  Deterministic imputers are unaffected by the averaging, stochastic
+ones are smoothed by it.  ``average_inferences`` is the package's only loop
+that averages inferences: ``ensemble_eval`` uses it per mask, and the
+``impute`` command uses it on the user's table.  Ranks are computed within
+each setting (1 = best, ties averaged) and aggregated as mean/std per method
+across settings.
 """
 
 from __future__ import annotations
@@ -76,58 +77,59 @@ def average_inferences(infer, n: int, seed: int) -> np.ndarray:
     return sum((infer(derive_seed(seed, i)) for i in range(n)), np.zeros(())) / n
 
 
-def ensemble_eval(
-    impute_fn,
-    method: str,
-    x_true: np.ndarray,
-    spec: MaskSpec,
-    n_mask_seeds: int = 5,
-    n_inferences: int = 5,
-    base_seed: int = 0,
-    imputation_sink: dict | None = None,
-    score_transform=None,
-) -> list[EvalRow]:
-    """Score one imputer on one mask setting.
-
-    ``impute_fn(x_obs, mask, seed)`` must return a single imputation; the
-    harness averages ``n_inferences`` of them per mask (``average_inferences``)
-    before scoring, so the averaging order (average first, then score) is
-    owned here.  When ``imputation_sink`` is given, the first mask seed's
-    averaged imputation is stored under (method, spec.label) for downstream
-    evaluation.  ``score_transform`` maps truth and imputation into the
-    reporting space (e.g. a scaler's inverse) before the metrics are computed.
-    A mask that hides no entry raises ``ValueError`` before it is imputed.
-    """
+def draw_masks(spec: MaskSpec, n_rows: int, n_cols: int, n_mask_seeds: int,
+               base_seed: int) -> list[tuple[int, np.ndarray]]:
+    """``spec``'s masks, each with its seed ``derive_seed(base_seed, s)``, which also
+    seeds its inferences; a mask that hides no entry raises ``ValueError``."""
     if n_mask_seeds < 1:
         raise ValueError(f"the number of mask seeds must be >= 1, got {n_mask_seeds}")
-    x_true = np.asarray(x_true, dtype=np.float64)
-    n_rows, n_cols = x_true.shape
-    truth_scored = score_transform(x_true) if score_transform is not None else x_true
-    rows: list[EvalRow] = []
+    masks = []
     for s in range(n_mask_seeds):
         mask_seed = derive_seed(base_seed, s)
         mask = spec.generate(n_rows, n_cols, mask_seed)
         if mask.all():
             raise ValueError(f"the {spec.label} mask of mask seed {s} hides no entry to score")
+        mask.flags.writeable = False  # every method of the setting reads the same array
+        masks.append((mask_seed, mask))
+    return masks
+
+
+def ensemble_eval(
+    impute_fn,
+    method: str,
+    x_true: np.ndarray,
+    setting: str,
+    masks: list[tuple[int, np.ndarray]],
+    n_inferences: int = 5,
+    imputation_sink: dict | None = None,
+    score_transform=None,
+) -> list[EvalRow]:
+    """Score one imputer on one mask setting's ``masks`` (``draw_masks``).
+
+    ``impute_fn(x_obs, mask, seed)`` must return a single imputation; the
+    harness averages ``n_inferences`` of them per mask (``average_inferences``)
+    before scoring, so the averaging order (average first, then score) is
+    owned here.  When ``imputation_sink`` is given, the first mask seed's
+    averaged imputation is stored under (method, setting) for downstream
+    evaluation.  ``score_transform`` maps truth and imputation into the
+    reporting space (e.g. a scaler's inverse) before the metrics are computed.
+    """
+    x_true = np.asarray(x_true, dtype=np.float64)
+    truth_scored = score_transform(x_true) if score_transform is not None else x_true
+    rows: list[EvalRow] = []
+    for s, (mask_seed, mask) in enumerate(masks):
         x_obs = np.where(mask, x_true, 0.0)
         avg = average_inferences(lambda seed: impute_fn(x_obs, mask, seed), n_inferences,
                                  mask_seed)
         if imputation_sink is not None and s == 0:
-            imputation_sink[(method, spec.label)] = avg
+            imputation_sink[(method, setting)] = avg
         avg_scored = score_transform(avg) if score_transform is not None else avg
         try:
             pearson = pearson_missing(truth_scored, avg_scored, mask)
         except ValueError:
             pearson = None  # constant fills have no defined correlation
-        rows.append(
-            EvalRow(
-                method=method,
-                setting=spec.label,
-                mask_seed=s,
-                mse=mse_missing(truth_scored, avg_scored, mask),
-                pearson=pearson,
-            )
-        )
+        rows.append(EvalRow(method, setting, s, mse_missing(truth_scored, avg_scored, mask),
+                            pearson))
     return rows
 
 

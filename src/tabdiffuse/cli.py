@@ -28,6 +28,7 @@ from .bench import (
     MaskSpec,
     average_inferences,
     downstream_eval,
+    draw_masks,
     ensemble_eval,
     rank_table,
     summarize,
@@ -35,7 +36,7 @@ from .bench import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import MinMaxScaler, load_csv, read_mask_csv, split, write_rows
 from .denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
-from .parallel import shard_count
+from .parallel import shard_bounds, shard_threads
 from .rng import derive_seed
 from .sampling import MaskedTable, SamplerOptions, build_plan, impute
 from .schedule import build_cosine_schedule
@@ -347,9 +348,10 @@ def cmd_impute(args):
         args.n_inferences, derive_seed(seed, _SAMPLE_STREAM))
     elapsed = time.perf_counter() - t0
     plan = build_plan(sched, opts)
+    n_shards = len(shard_bounds(denoiser, ds.n_rows)) - 1
     _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {args.n_inferences}, "
          f"network evaluations: {plan.n_denoise() * args.n_inferences}, "
-         f"wall time: {elapsed:.3f}s, shards: {shard_count(denoiser, ds.n_rows)}")
+         f"wall time: {elapsed:.3f}s, shards: {n_shards}, threads: {shard_threads(n_shards)}")
 
     out = scaler.inverse_transform(out_scaled) if scaler is not None else out_scaled
     out[mask] = ds.features[mask]  # observations pass through verbatim
@@ -449,7 +451,9 @@ def cmd_benchmark(args):
                 f"(available: {sorted(checkpoints) or 'none'})"
             )
 
-    cells = [(method, spec) for method in methods for spec in specs]
+    masks = {spec.label: draw_masks(spec, *test_scaled.shape, args.n_mask_seeds,
+                                    derive_seed(seed, _MASK_STREAM)) for spec in specs}
+    cells = [(method, spec.label) for method in methods for spec in specs]
     imputations: dict = {}
 
     score_transform = bench_scaler.inverse_transform if args.report_space == "raw" else None
@@ -457,17 +461,14 @@ def cmd_benchmark(args):
     def run_cell(cell):
         # undefined combinations (e.g. next-value fill on whole-column masks)
         # become "/" cells instead of aborting the sweep
-        method, spec = cell
+        method, setting = cell
         fn, n_inf = impute_fns[method]
         try:
-            return ensemble_eval(fn, method, test_scaled, spec,
-                                 n_mask_seeds=args.n_mask_seeds,
-                                 n_inferences=n_inf,
-                                 base_seed=derive_seed(seed, _MASK_STREAM),
-                                 imputation_sink=imputations,
+            return ensemble_eval(fn, method, test_scaled, setting, masks[setting],
+                                 n_inferences=n_inf, imputation_sink=imputations,
                                  score_transform=score_transform)
         except BaselineError as err:
-            _log(f"[benchmark] {method} undefined for {spec.label}: {err}")
+            _log(f"[benchmark] {method} undefined for {setting}: {err}")
             return []
 
     if args.jobs > 1:
@@ -559,12 +560,13 @@ def cmd_ablate(args):
         runs = [("tst", denoiser, train_t, opts), ("no-tst", den2, tt2, opts)]
 
     spec = MaskSpec("mcar", p_random=args.mcar)
+    masks = draw_masks(spec, *x_true.shape, args.n_mask_seeds,
+                       derive_seed(args.seed, _MASK_STREAM))
     rows: list[list[str]] = []
     per_seed_rows: list[list[str]] = []
     for label, den, tt, run_opts in runs:
-        scored = ensemble_eval(_diffusion_impute_fn(den, tt, run_opts), label, x_true, spec,
-                               n_mask_seeds=args.n_mask_seeds, n_inferences=args.n_inferences,
-                               base_seed=derive_seed(args.seed, _MASK_STREAM))
+        scored = ensemble_eval(_diffusion_impute_fn(den, tt, run_opts), label, x_true,
+                               spec.label, masks, n_inferences=args.n_inferences)
         rows.append([label, _fmt(np.mean([r.mse for r in scored]))])
         per_seed_rows += [[label, str(r.mask_seed), _fmt(r.mse)] for r in scored]
 

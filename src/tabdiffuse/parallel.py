@@ -1,24 +1,25 @@
 """Row-sharded denoiser inference.
 
 In eval mode every denoiser treats each row on its own, so one network
-evaluation can be cut into contiguous row shards that run side by side, one
-per core the process may run on.  Shard 0 runs on the calling thread, the
-others on a pool of worker threads; numpy releases the GIL inside its
-kernels, so the shards overlap.
+evaluation can be cut into contiguous row shards.  The cuts depend only on
+the network and the row count (``shard_bounds``); the core count and numpy's
+BLAS decide only how many threads run the shards (``shard_threads``), so no
+output depends on the host.  numpy releases the GIL inside its kernels, so
+threaded shards overlap.
 
 Cut positions are multiples of ``ROW_ALIGN`` (8) rows.  OpenBLAS computes a
 product in blocks of rows, and for some shapes (a single-column output head,
 a 10-column MLP head) a row's rounding depends on where it sits in its
-block, so a cut inside a block changes the last bits of some rows.  On
-8-row boundaries every row is computed exactly as in one unsharded call, so
-the shard count never changes an output.
+block, so a cut inside a block changes the last bits of some rows.  OpenBLAS
+also picks its kernel by problem size, so a shard can round differently from
+one call over all the rows: the cuts must not move with the host.
 
 numpy's OpenBLAS already spreads each large product over every core, and two
-shards gain nothing while it does.  So while a sharded sampler runs, the
-library's thread count is pinned to 1; the count is process-wide, so the pin
-nests (a lock and a depth count) across concurrent callers and the saved
+shards gain nothing while it does.  So while shards run on several threads,
+the library's thread count is pinned to 1; the count is process-wide, so the
+pin nests (a lock and a depth count) across concurrent callers and the saved
 count is restored when the last one leaves.  When the library's thread
-controls cannot be found, inference runs as one shard.
+controls cannot be found, the shards run one after another on the caller.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 from .tensor import no_grad
 
 ROW_ALIGN = 8
-# Elements of the widest hidden state a shard must carry before a second core
-# pays for its threads: below it, Python overhead, not arithmetic, sets the time.
+# Elements of the widest hidden state a shard carries at least: below it,
+# Python overhead, not arithmetic, sets a shard's time.
 MIN_SHARD_ELEMENTS = 1 << 16
 
 
@@ -102,20 +103,19 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def shard_count(denoiser, n_rows: int) -> int:
-    """How many row shards one evaluation of ``n_rows`` rows runs as."""
-    by_work = n_rows * denoiser.row_cost // MIN_SHARD_ELEMENTS
-    by_rows = -(-n_rows // ROW_ALIGN)
-    n = max(1, min(_cores(), by_work, by_rows))
-    return n if n == 1 or numpy_blas() is not None else 1
+def shard_bounds(denoiser, n_rows: int) -> list[int]:
+    """Cut points 0 = b0 < b1 < ... = n_rows of one ``n_rows``-row evaluation:
+    every R rows, R the smallest multiple of ``ROW_ALIGN`` whose rows carry
+    ``MIN_SHARD_ELEMENTS`` elements of ``denoiser.row_cost``.  The last shard
+    takes the rest; a rest under ``ROW_ALIGN`` rows joins the shard before it,
+    as numpy runs a 1-row product through a matrix-vector kernel."""
+    rows = ROW_ALIGN * -(-MIN_SHARD_ELEMENTS // (ROW_ALIGN * denoiser.row_cost))
+    return [0, *range(rows, n_rows - ROW_ALIGN + 1, rows), n_rows]
 
 
-def shard_bounds(n_rows: int, n_shards: int) -> list[int]:
-    """Cut points 0 = b0 < b1 < ... = n_rows of at most ``n_shards`` shards,
-    as even as cuts on multiples of ``ROW_ALIGN`` allow."""
-    blocks = -(-n_rows // ROW_ALIGN)
-    n = max(1, min(n_shards, blocks))
-    return [min(n_rows, ROW_ALIGN * (blocks * i // n)) for i in range(n + 1)]
+def shard_threads(n_shards: int) -> int:
+    """One thread per core, at most one per shard; one if BLAS cannot be pinned."""
+    return min(_cores(), n_shards) if numpy_blas() is not None else 1
 
 
 def _eval(denoiser, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -124,32 +124,27 @@ def _eval(denoiser, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def sharded_eval(denoiser, n_rows: int, n_shards: int | None = None):
+def sharded_eval(denoiser, n_rows: int):
     """Yields ``evaluate(x, t)``: the eval-mode output array of
-    ``denoiser(x, t)`` for ``n_rows``-row inputs, computed in row shards.
+    ``denoiser(x, t)`` for ``n_rows``-row inputs, computed shard by shard at
+    ``shard_bounds``.
 
-    ``n_shards`` defaults to ``shard_count``.  BLAS stays pinned and the
-    worker threads stay up for the whole block, so a sampler pays for them
-    once, not once per step.
+    On more than one thread, BLAS stays pinned and the worker threads stay up
+    for the whole block, so a sampler pays for them once, not once per step.
     """
-    if n_shards is None:
-        n_shards = shard_count(denoiser, n_rows)
-    bounds = shard_bounds(n_rows, n_shards)
-    if len(bounds) == 2:
-        yield functools.partial(_eval, denoiser)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only sharded runs pay for its import
+    bounds = shard_bounds(denoiser, n_rows)
+    threads = shard_threads(len(bounds) - 1)
 
-    blas = numpy_blas()
-    with blas.pinned() if blas is not None else contextlib.nullcontext(), \
-            ThreadPoolExecutor(len(bounds) - 2, thread_name_prefix="shard") as pool:
+    def evaluate(x, t, map_=map):
+        if len(x) != n_rows:
+            raise ValueError(f"sharded for {n_rows} rows, got {len(x)}")
+        parts = list(map_(lambda a, b: _eval(denoiser, x[a:b], t[a:b]), bounds, bounds[1:]))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        def evaluate(x, t):
-            if len(x) != n_rows:
-                raise ValueError(f"sharded for {n_rows} rows, got {len(x)}")
-            rest = [pool.submit(_eval, denoiser, x[a:b], t[a:b])
-                    for a, b in zip(bounds[1:-1], bounds[2:])]
-            first = _eval(denoiser, x[: bounds[1]], t[: bounds[1]])
-            return np.concatenate([first] + [f.result() for f in rest])
-
+    if threads == 1:
         yield evaluate
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for its import
+
+    with numpy_blas().pinned(), ThreadPoolExecutor(threads, thread_name_prefix="shard") as pool:
+        yield functools.partial(evaluate, map_=pool.map)

@@ -212,8 +212,8 @@ def impute(
     Runs one inference, drawn from ``Rng(opts.seed)``; every known entry of
     the result equals the observation exactly.  Averaging several seeded
     inferences is the evaluation protocol's job (``bench.average_inferences``).
-    Each network evaluation runs in row shards (``parallel.sharded_eval``),
-    which give the same bits as one unsharded call.
+    Each network evaluation runs in row shards (``parallel.sharded_eval``) cut
+    by the network and the row count alone, never by the number of cores.
     """
     if sched is None:
         sched = build_cosine_schedule(opts.t_sampling)

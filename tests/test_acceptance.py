@@ -18,6 +18,7 @@ from tabdiffuse.bench import (
     MaskSpec,
     average_inferences,
     average_ranks,
+    draw_masks,
     ensemble_eval,
     rank_table,
 )
@@ -276,11 +277,11 @@ def test_criterion_5_beats_mean_imputation(benchmark_model):
     def mean_fn(x_obs, mask, seed):
         return baseline_impute("mean", x_obs, mask, bm["train_s"])
 
-    spec = MaskSpec("mcar", p_random=0.3)
-    rows_d = ensemble_eval(diff_fn, "diffusion", bm["test_s"], spec,
-                           n_mask_seeds=5, n_inferences=5, base_seed=42)
-    rows_m = ensemble_eval(mean_fn, "mean", bm["test_s"], spec,
-                           n_mask_seeds=5, n_inferences=1, base_seed=42)
+    masks = draw_masks(MaskSpec("mcar", p_random=0.3), *bm["test_s"].shape, n_mask_seeds=5,
+                       base_seed=42)
+    rows_d = ensemble_eval(diff_fn, "diffusion", bm["test_s"], "mcar-0.3", masks,
+                           n_inferences=5)
+    rows_m = ensemble_eval(mean_fn, "mean", bm["test_s"], "mcar-0.3", masks, n_inferences=1)
     wins = sum(rd.mse < rm.mse for rd, rm in zip(rows_d, rows_m))
     detail = ", ".join(f"seed {rd.mask_seed}: {rd.mse:.4f} vs {rm.mse:.4f}"
                        for rd, rm in zip(rows_d, rows_m))

@@ -740,10 +740,23 @@ def misfit_tables(workdir):
         "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
         "resnet-one-row-tail", "unknown-method", "missing-checkpoint", "non-finite-target",
         "feature-names-differ", "benchmark-mask-hides-nothing", "ablate-mask-hides-nothing"])
-def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys, flags,
-                                                     message):
+def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys,
+                                                     monkeypatch, flags, message):
     """Each of these exits 2 before any output is written: the run leaves no
-    file or directory behind.  A --data in the flags replaces the fixture table."""
+    file or directory behind, and no imputer ran.  A --data in the flags
+    replaces the fixture table."""
+    from tabdiffuse import cli
+
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("impute", "baseline_impute"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     workdir = misfit_tables
     command, *rest = [f.format(work=workdir) for f in flags]
     out_flag = "--out-dir" if command in ("benchmark", "ablate") else "--out"
@@ -751,6 +764,7 @@ def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, ca
                  out_flag, str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    assert calls == []
 
 
 def test_benchmark_jobs_2_with_a_sharded_transformer_matches_jobs_1(tmp_path, monkeypatch):
@@ -765,8 +779,8 @@ def test_benchmark_jobs_2_with_a_sharded_transformer_matches_jobs_1(tmp_path, mo
                  "--embed-dim", "224", "--blocks", "1", "--epochs", "1", "--T", "30",
                  "--out", str(tmp_path / "run")]) == 0
     ckpt = tmp_path / "run" / "checkpoint.ckpt"
-    # the 120-row test split carries 120 * (4 + 1) * 224 = 134400 elements a step
-    assert parallel.shard_count(load_checkpoint(ckpt)[0], 120) == 2
+    # 64-row shards carry 64 * (4 + 1) * 224 = 71680 elements: the 120-row test split is 2
+    assert len(parallel.shard_bounds(load_checkpoint(ckpt)[0], 120)) - 1 == 2
 
     def bench_rows(name, jobs):
         out_dir = tmp_path / name
@@ -781,4 +795,4 @@ def test_benchmark_jobs_2_with_a_sharded_transformer_matches_jobs_1(tmp_path, mo
     serial = bench_rows("jobs1", "1")
     assert bench_rows("jobs2", "2") == serial
     monkeypatch.setattr(parallel, "_cores", lambda: 1)
-    assert bench_rows("unsharded", "2") == serial
+    assert bench_rows("one-thread", "2") == serial

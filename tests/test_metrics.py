@@ -7,6 +7,7 @@ from tabdiffuse.bench import (
     average_inferences,
     average_ranks,
     downstream_eval,
+    draw_masks,
     ensemble_eval,
     rank_table,
     summarize,
@@ -162,9 +163,9 @@ def test_ensemble_eval_deterministic_imputer_ignores_n_inferences():
         out[~mask] = 0.5
         return out
 
-    spec = MaskSpec("mcar", p_random=0.4)
-    rows1 = ensemble_eval(mean_imputer, "mean", x, spec, n_mask_seeds=3, n_inferences=1)
-    rows5 = ensemble_eval(mean_imputer, "mean", x, spec, n_mask_seeds=3, n_inferences=5)
+    masks = draw_masks(MaskSpec("mcar", p_random=0.4), 40, 3, n_mask_seeds=3, base_seed=0)
+    rows1 = ensemble_eval(mean_imputer, "mean", x, "mcar-0.4", masks, n_inferences=1)
+    rows5 = ensemble_eval(mean_imputer, "mean", x, "mcar-0.4", masks, n_inferences=5)
     assert [r.mse for r in rows1] == pytest.approx([r.mse for r in rows5], rel=1e-12)
 
 
@@ -185,8 +186,8 @@ def test_ensemble_eval_average_then_score_hand_case():
         pass
 
     spec = MaskSpec("mcar", p_random=0.25)
-    rows = ensemble_eval(flip_imputer, "flip", x, spec, n_mask_seeds=1, n_inferences=2,
-                         base_seed=3)
+    rows = ensemble_eval(flip_imputer, "flip", x, spec.label,
+                         draw_masks(spec, 2, 2, n_mask_seeds=1, base_seed=3), n_inferences=2)
     # reconstruct the mask the harness used
     from tabdiffuse.rng import derive_seed
 
@@ -223,9 +224,26 @@ def test_average_inferences_rejects_fewer_than_one(n):
 
 def test_ensemble_eval_rejects_fewer_than_one_mask_seed():
     x = Rng(2).uniform((10, 2))
+    calls = []
     with pytest.raises(ValueError, match="mask seeds"):
-        ensemble_eval(lambda x_obs, mask, seed: x_obs, "id", x, MaskSpec("mcar", p_random=0.5),
-                      n_mask_seeds=0)
+        ensemble_eval(lambda x_obs, mask, seed: calls.append(seed), "id", x, "mcar-0.5",
+                      draw_masks(MaskSpec("mcar", p_random=0.5), 10, 2, n_mask_seeds=0,
+                                 base_seed=0))
+    assert calls == []
+
+
+def test_draw_masks_rejects_a_mask_that_hides_nothing():
+    spec = MaskSpec("mcar", p_random=0.2)
+
+    def hides(base_seed, s):
+        return not spec.generate(2, 2, derive_seed(base_seed, s)).all()
+
+    base = next(b for b in range(1000) if hides(b, 0) and not hides(b, 1))
+    with pytest.raises(ValueError, match="mcar-0.2 mask of mask seed 1 hides no entry"):
+        draw_masks(spec, 2, 2, n_mask_seeds=2, base_seed=base)
+    [(seed, mask)] = draw_masks(spec, 2, 2, n_mask_seeds=1, base_seed=base)
+    assert seed == derive_seed(base, 0)
+    np.testing.assert_array_equal(mask, spec.generate(2, 2, seed))
 
 
 def test_ensemble_eval_mask_seeds_differ():
@@ -238,7 +256,9 @@ def test_ensemble_eval_mask_seeds_differ():
         out[~mask] = 0.0
         return out
 
-    ensemble_eval(spy, "spy", x, MaskSpec("mcar", p_random=0.5), n_mask_seeds=3, n_inferences=1)
+    ensemble_eval(spy, "spy", x, "mcar-0.5",
+                  draw_masks(MaskSpec("mcar", p_random=0.5), 30, 4, n_mask_seeds=3, base_seed=0),
+                  n_inferences=1)
     assert not np.array_equal(seen[0], seen[1])
     assert not np.array_equal(seen[1], seen[2])
 

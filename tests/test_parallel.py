@@ -1,5 +1,7 @@
-"""Row-sharded inference: same bits for any shard count, BLAS pin restored."""
+"""Row-sharded inference: cuts fixed by the network and the row count, the
+same bits on any number of threads, BLAS pin restored."""
 
+import itertools
 import sys
 import threading
 
@@ -7,6 +9,9 @@ import numpy as np
 import pytest
 
 from tabdiffuse import parallel
+from tabdiffuse.checkpoint import save_checkpoint
+from tabdiffuse.cli import main
+from tabdiffuse.data import MinMaxScaler, write_csv
 from tabdiffuse.denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
 from tabdiffuse.rng import Rng
 from tabdiffuse.sampling import MaskedTable, SamplerOptions, impute
@@ -39,16 +44,27 @@ def networks():
     return {arch: build_denoiser(cfg, seed=4) for arch, cfg in CONFIGS.items()}
 
 
+def _n_shards(den, n_rows):
+    return len(parallel.shard_bounds(den, n_rows)) - 1
+
+
 @pytest.mark.parametrize("n_rows", [7, 24, 129, 1000])
 @pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_sharded_eval_is_bitwise_the_unsharded_call(networks, arch, n_rows):
+def test_sharded_eval_is_bitwise_the_unsharded_call(monkeypatch, networks, arch, n_rows):
+    """For these shapes, a cut on the 8-row grid into 1, 2 or 3 shards keeps
+    every row's bits, on two threads.  A lower minimum makes finer cuts."""
+    monkeypatch.setattr(parallel, "_cores", lambda: 2)
     den = networks[arch]
     x = Rng(n_rows).normal((n_rows, 10))
     t = np.full(n_rows, 37)
     with no_grad():
         expected = den(x, t).data
+    blocks = -(-n_rows // parallel.ROW_ALIGN)
     for n_shards in (1, 2, 3):
-        with parallel.sharded_eval(den, n_rows, n_shards) as evaluate:
+        rows = parallel.ROW_ALIGN * -(-blocks // n_shards)
+        monkeypatch.setattr(parallel, "MIN_SHARD_ELEMENTS", rows * den.row_cost)
+        assert _n_shards(den, n_rows) == min(n_shards, blocks)
+        with parallel.sharded_eval(den, n_rows) as evaluate:
             np.testing.assert_array_equal(evaluate(x, t), expected)
 
 
@@ -63,25 +79,56 @@ def test_a_cut_off_the_8_row_grid_changes_bits(networks):
     assert not np.array_equal(whole, cut)
 
 
-@pytest.mark.parametrize("n_rows,n_shards", [(7, 3), (8, 2), (24, 3), (129, 2), (129, 3),
-                                             (1000, 3), (1000, 64)])
-def test_shard_bounds_cover_the_rows_on_8_row_boundaries(n_rows, n_shards):
-    bounds = parallel.shard_bounds(n_rows, n_shards)
+class _RowCost:
+    def __init__(self, row_cost):
+        self.row_cost = row_cost
+
+
+@pytest.mark.parametrize("n_rows,blocks", [(7, 3), (8, 2), (24, 3), (129, 2), (129, 3),
+                                           (1000, 3), (1000, 64)])
+def test_shard_bounds_cover_the_rows_on_8_row_boundaries(monkeypatch, n_rows, blocks):
+    """Rows that carry the minimum round up to a whole number of 8-row
+    blocks; every shard but the last holds that many rows, and the last holds
+    the rest, but never fewer than 8 rows when the table has them."""
+    align = parallel.ROW_ALIGN
+    rows = align * blocks
+    monkeypatch.setattr(parallel, "MIN_SHARD_ELEMENTS", 10 * (rows - align) + 1)
+    bounds = parallel.shard_bounds(_RowCost(10), n_rows)
     assert bounds[0] == 0 and bounds[-1] == n_rows
-    assert all(a < b for a, b in zip(bounds, bounds[1:]))
-    assert all(b % parallel.ROW_ALIGN == 0 for b in bounds[1:-1])
-    assert len(bounds) - 1 == min(n_shards, -(-n_rows // parallel.ROW_ALIGN))
+    assert all(b - a == rows for a, b in zip(bounds, bounds[1:-1]))
+    assert min(n_rows, align) <= bounds[-1] - bounds[-2] < rows + align
+    assert len(bounds) - 1 == 1 + max(0, (n_rows - align) // rows)
 
 
-def test_shard_count_follows_the_work_per_row(monkeypatch, blas):
-    monkeypatch.setattr(parallel, "_cores", lambda: 2)
+def test_shard_count_follows_the_work_per_row(monkeypatch):
     big = build_denoiser(DenoiserConfig(arch="transformer", n_features=10), seed=0)
     grid_mlp = build_denoiser(DenoiserConfig(arch="mlp", n_features=4), seed=0)
-    assert parallel.shard_count(big, 128) == 2  # (10 + 1) * 192 elements a row
-    assert parallel.shard_count(big, 32) == 1  # 67584 elements: under 2 x 2**16
-    assert parallel.shard_count(grid_mlp, 400) == 1
-    monkeypatch.setattr(parallel, "_cores", lambda: 1)
-    assert parallel.shard_count(big, 128) == 1
+    for cores in (2, 1):
+        monkeypatch.setattr(parallel, "_cores", lambda: cores)
+        assert _n_shards(big, 128) == 4  # 32 rows of (10 + 1) * 192: 67584 elements >= 2**16
+        assert _n_shards(big, 39) == 1  # a rest under 8 rows joins the shard before it
+        assert _n_shards(big, 40) == 2
+        assert _n_shards(grid_mlp, 400) == 1  # hidden 32: 2048-row shards
+        assert _n_shards(grid_mlp, 10000) == 5
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_shard_bounds_do_not_depend_on_the_host(monkeypatch, arch):
+    den = build_denoiser(DenoiserConfig(arch=arch, n_features=10), seed=0)
+    seen = set()
+    for cores, blas in itertools.product((1, 2, 3, 64), (parallel.numpy_blas, lambda: None)):
+        monkeypatch.setattr(parallel, "_cores", lambda: cores)
+        monkeypatch.setattr(parallel, "numpy_blas", blas)
+        seen.add(tuple(tuple(parallel.shard_bounds(den, n)) for n in (1, 7, 8, 129, 1000, 10000)))
+    assert len(seen) == 1
+
+
+def test_shard_threads_follow_the_cores_and_the_shards(monkeypatch, blas):
+    for cores, n_shards, threads in ((1, 4, 1), (2, 4, 2), (64, 4, 4), (2, 1, 1)):
+        monkeypatch.setattr(parallel, "_cores", lambda: cores)
+        assert parallel.shard_threads(n_shards) == threads
+    monkeypatch.setattr(parallel, "numpy_blas", lambda: None)
+    assert parallel.shard_threads(4) == 1
 
 
 def _impute_big_transformer(table_rows=64, **opts):
@@ -96,7 +143,7 @@ def test_blas_threads_restored_after_impute(monkeypatch, blas):
     den, table, opts = _impute_big_transformer()
     seen = []
     impute(den, table, opts, on_step=lambda level, x: seen.append(blas.get()))
-    assert parallel.shard_count(den, 64) == 2
+    assert _n_shards(den, 64) == 2
     assert set(seen[1:]) == {1}  # pinned from the first network evaluation on
     assert blas.get() == 2
 
@@ -162,12 +209,41 @@ def test_pin_depth_survives_many_concurrent_holders(blas):
     assert blas.get() == 2
 
 
-def test_missing_openblas_runs_one_shard_with_the_same_bytes(monkeypatch):
+def test_missing_openblas_runs_the_same_shards_on_one_thread_with_the_same_bytes(monkeypatch):
     assert parallel.find_openblas([]) is None
     assert parallel.find_openblas(["no-such-library.so"]) is None
     monkeypatch.setattr(parallel, "_cores", lambda: 2)
     den, table, opts = _impute_big_transformer()
-    sharded = impute(den, table, opts)
+    threaded = impute(den, table, opts)
     monkeypatch.setattr(parallel, "numpy_blas", lambda: None)
-    assert parallel.shard_count(den, 64) == 1
-    np.testing.assert_array_equal(impute(den, table, opts), sharded)
+    forward, calls = type(den).forward, []
+
+    def recorded(self, x, t, training=False, rng=None):
+        calls.append((x.shape[0], threading.current_thread() is threading.main_thread()))
+        return forward(self, x, t, training, rng)
+
+    monkeypatch.setattr(type(den), "forward", recorded)
+    np.testing.assert_array_equal(impute(den, table, opts), threaded)
+    assert _n_shards(den, 64) == 2
+    assert calls and set(calls) == {(32, True)}
+
+
+def test_impute_writes_the_same_bytes_on_one_core_and_on_two(monkeypatch, tmp_path):
+    """A table above OpenBLAS's small-matrix switch: a 10000-row MLP (hidden
+    32) evaluation, whose halves round differently from the whole call."""
+    x = Rng(6).normal((10000, 4))
+    names = ("a", "b", "c", "d")
+    write_csv(tmp_path / "data.csv", x, list(names))
+    den = build_denoiser(DenoiserConfig(arch="mlp", n_features=4, hidden=32), seed=1)
+    save_checkpoint(tmp_path / "mlp.ckpt", den, train_t=1000, scaler=MinMaxScaler().fit(x),
+                    feature_names=names)
+
+    def imputed(cores):
+        monkeypatch.setattr(parallel, "_cores", lambda: cores)
+        out = tmp_path / f"imputed-{cores}.csv"
+        assert main(["impute", "--checkpoint", str(tmp_path / "mlp.ckpt"),
+                     "--data", str(tmp_path / "data.csv"), "--mcar", "0.3",
+                     "--T-sampling", "20", "--n-inferences", "1", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert imputed(1) == imputed(2)
