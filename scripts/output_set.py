@@ -4,12 +4,15 @@
 The set covers each command's output paths: ``train`` for all four
 architectures (one with ``--checkpoint-every``, one with
 ``--no-time-embedding``), a dense ``impute``, a skip-step ``impute`` with
-retracing, an MLP trained on a 10000x4 table and an ``impute`` of that table
-(large enough that OpenBLAS rounds a row shard differently from one call
-over all the rows, so a change to the shard cuts shows), a ``benchmark`` with a binary ``--target``, ``--jobs 2``,
+retracing, float32 ``train`` runs of the U-Net, the ResNet (batch-norm
+buffers) and the Transformer (feature tokens and CLS) with a skip-step
+``impute`` through that Transformer, an MLP trained on a 10000x4 table and an
+``impute`` of that table (large enough that OpenBLAS rounds a row shard
+differently from one call over all the rows, so a change to the shard cuts
+shows), a ``benchmark`` with a binary ``--target``, ``--jobs 2``,
 ``--report-space raw`` and two diffusion methods over an MCAR and a MAR
 setting, a ``benchmark`` with a regression ``--target``, and all three
-``ablate`` presets.  It writes 54 files.  Each line of the manifest is
+``ablate`` presets.  It writes 62 files.  Each line of the manifest is
 ``<sha256>  <path relative to OUT>``, so two manifests diff line for line.
 
 The commands run through whichever ``tabdiffuse`` is importable, so the same
@@ -65,6 +68,12 @@ def commands(out: Path) -> list[list[str]]:
          "--heads", "2", *small, "--out", str(out / "transformer")],
         ["train", "--data", data, "--arch", "unet", "--unet-channels", "8,16", "--heads", "2",
          "--dtype", "float32", *small, "--out", str(out / "unet")],
+        ["train", "--data", data, "--arch", "resnet", "--blocks", "2", "--hidden", "16",
+         "--dtype", "float32", *small, "--out", str(out / "resnet-float32")],
+        ["train", "--data", data, "--arch", "transformer", "--blocks", "1", "--embed-dim", "16",
+         "--heads", "2", "--dtype", "float32", *small, "--out", str(out / "transformer-float32")],
+        ["impute", "--checkpoint", ckpt("transformer-float32"), "--data", data, "--mcar", "0.3",
+         "--tau", "10", *sampler, "--out", str(out / "impute-skip-float32.csv")],
         ["impute", "--checkpoint", ckpt("resnet"), "--data", data, "--mcar", "0.3", *sampler,
          "--out", str(out / "impute-dense.csv")],
         ["impute", "--checkpoint", ckpt("transformer"), "--data", data, "--mar", "2",

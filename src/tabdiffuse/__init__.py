@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
 from .sampling import MaskedTable, SamplerOptions, impute
-from .schedule import DiffusionSchedule, build_cosine_schedule
 from .training import TrainingConfig, train
 
 __all__ = [
@@ -15,8 +14,6 @@ __all__ = [
     "MaskedTable",
     "SamplerOptions",
     "impute",
-    "DiffusionSchedule",
-    "build_cosine_schedule",
     "TrainingConfig",
     "train",
 ]

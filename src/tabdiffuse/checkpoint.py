@@ -35,12 +35,11 @@ def save_checkpoint(
     feature_names: tuple[str, ...] | None = None,
     meta: dict | None = None,
 ) -> None:
-    dtype = denoiser.config.dtype
     entries = []
     offset = 0
     blobs = []
     for name, array in denoiser.named_arrays():
-        blob = np.ascontiguousarray(array, dtype=denoiser.config.np_dtype)
+        blob = np.ascontiguousarray(array, dtype=denoiser.config.dtype)
         blob = blob.astype("<" + blob.dtype.str[1:], copy=False)
         raw = blob.tobytes()
         entries.append({"name": name, "shape": list(array.shape), "offset": offset})
@@ -50,7 +49,7 @@ def save_checkpoint(
         "format_version": FORMAT_VERSION,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in asdict(denoiser.config).items()},
-        "dtype": dtype,
+        "dtype": denoiser.config.dtype,
         "train_t": int(train_t),
         "params": entries,
         "scaler": scaler.to_dict() if scaler is not None else None,

@@ -39,7 +39,6 @@ from .denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
 from .parallel import shard_bounds, shard_threads
 from .rng import derive_seed
 from .sampling import MaskedTable, SamplerOptions, build_plan, impute
-from .schedule import build_cosine_schedule
 from .tensor import NumericError
 from .training import TrainingConfig, TrainingDiverged, train
 
@@ -339,15 +338,14 @@ def cmd_impute(args):
         jump_n_sample=args.jump_n_sample,
     )
 
-    sched = build_cosine_schedule(opts.t_sampling)
     scaled = scaler.transform(ds.features) if scaler is not None else ds.features
     table = MaskedTable(scaled, mask)
     t0 = time.perf_counter()
     out_scaled = average_inferences(
-        lambda s: impute(denoiser, table, replace(opts, seed=s), sched=sched, train_t=train_t),
+        lambda s: impute(denoiser, table, replace(opts, seed=s), train_t=train_t),
         args.n_inferences, derive_seed(seed, _SAMPLE_STREAM))
     elapsed = time.perf_counter() - t0
-    plan = build_plan(sched, opts)
+    plan = build_plan(opts)
     n_shards = len(shard_bounds(denoiser, ds.n_rows)) - 1
     _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {args.n_inferences}, "
          f"network evaluations: {plan.n_denoise() * args.n_inferences}, "
@@ -387,7 +385,15 @@ def _parse_grid(tokens: list[str], n_features: int) -> list[MaskSpec]:
                 raise UsageError(f"unknown grid mechanism {name!r}")
     if not specs:
         raise UsageError("empty mask grid")
+    _reject_repeats("grid setting", [spec.label for spec in specs])
     return specs
+
+
+def _reject_repeats(what: str, names) -> None:
+    """A setting or method named twice would get two report columns or rows."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"{what} {name!r} is given more than once")
 
 
 def _diffusion_impute_fn(denoiser, train_t, opts):
@@ -426,12 +432,20 @@ def cmd_benchmark(args):
     test_scaled = bench_scaler.transform(test_ds.features)
 
     methods = args.methods
+    _reject_repeats("method", methods)
     specs = _parse_grid(args.grid, ds.n_features)
 
     checkpoints = {}
     for path_str in args.checkpoints:
         denoiser, train_t, ck_scaler = _load_model(Path(path_str), ds.feature_names)
-        checkpoints[f"diffusion-{denoiser.config.arch}"] = (denoiser, train_t, ck_scaler)
+        method = f"diffusion-{denoiser.config.arch}"
+        if method in checkpoints:
+            raise UsageError(f"checkpoints {checkpoints[method][0]} and {path_str} "
+                             f"both provide {method}")
+        if method not in methods:
+            raise UsageError(f"checkpoint {path_str} provides {method}, "
+                             f"which --methods does not list")
+        checkpoints[method] = (path_str, denoiser, train_t, ck_scaler)
     opts = SamplerOptions(t_sampling=args.T_sampling, tau=args.tau, eta=args.eta,
                           jump_length=args.jump_length, jump_n_sample=args.jump_n_sample)
 
@@ -442,7 +456,7 @@ def cmd_benchmark(args):
                 return baseline_impute(_kind, x_obs, mask, train_scaled)
             impute_fns[method] = (fn, 1)
         elif method in checkpoints:
-            denoiser, train_t, ck_scaler = checkpoints[method]
+            _, denoiser, train_t, ck_scaler = checkpoints[method]
             fn = _diffusion_impute_fn(denoiser, train_t, opts)
             impute_fns[method] = (_in_bench_space(fn, ck_scaler, bench_scaler), args.n_inferences)
         else:

@@ -30,7 +30,7 @@ from .nn import (
     apply_film,
 )
 from .rng import Rng
-from .tensor import Tensor, concat, reglu_film, relu, reshape, silu, transpose
+from .tensor import Tensor, concat, parameter, reglu_film, relu, reshape, silu, transpose
 
 ARCHITECTURES = ("mlp", "resnet", "transformer", "unet")
 
@@ -61,6 +61,11 @@ class DenoiserConfig:
             raise ValueError("n_features must be >= 1")
         if self.blocks < 1:
             raise ValueError("blocks must be >= 1")
+        sizes = [("hidden", self.resolved_hidden), ("embed_dim", self.embed_dim),
+                 ("heads", self.heads), ("groupnorm_groups", self.groupnorm_groups)]
+        for name, size in sizes + [("every unet_channels entry", c) for c in self.unet_channels]:
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("attention_dropout", "ffn_dropout", "residual_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
@@ -81,10 +86,6 @@ class DenoiserConfig:
     def resolved_hidden(self) -> int:
         return self.hidden if self.hidden is not None else 8 * self.n_features
 
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
-
 
 class Denoiser(Module):
     """Base class: config + eval/train forward."""
@@ -104,7 +105,7 @@ class Denoiser(Module):
 
     def __call__(self, x, t, training: bool = False, rng: Rng | None = None) -> Tensor:
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.config.np_dtype))
+            x = Tensor(np.asarray(x, dtype=self.config.dtype))
         t = np.atleast_1d(np.asarray(t))
         if x.ndim != 2 or x.shape[1] != self.config.n_features:
             raise ValueError(f"expected (batch, {self.config.n_features}) input, got {x.shape}")
@@ -133,9 +134,9 @@ def film_pair(tokenizer: TimeStepTokenizer, t: np.ndarray) -> tuple[Tensor, Tens
 class TimeStepMLPBlock(Module):
     """Dropout(ReLU(FiLM(Linear(x)))) with the modulation from the tokenizer."""
 
-    def __init__(self, in_dim: int, width: int, drop: float, rng: Rng | None, dtype):
+    def __init__(self, in_dim: int, width: int, drop: float, rng: Rng | None):
         super().__init__()
-        self.linear = Linear(in_dim, width, rng, dtype)
+        self.linear = Linear(in_dim, width, rng)
         self.dropout = Dropout(drop)
 
     def forward(self, x, scale, shift, training, rng):
@@ -150,15 +151,11 @@ class MLPDenoiser(Denoiser):
 
     def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
-        k, w, dt = config.n_features, config.resolved_hidden, config.np_dtype
-        self.tokenizer = TimeStepTokenizer(w, rng, enabled=config.time_embedding, dtype=dt)
-        blocks = [TimeStepMLPBlock(k, w, config.ffn_dropout, rng, dt)]
-        blocks += [
-            TimeStepMLPBlock(w, w, config.ffn_dropout, rng, dt)
-            for _ in range(config.blocks - 1)
-        ]
-        self.blocks = ModuleList(blocks)
-        self.head = Linear(w, k, rng, dt)
+        k, w = config.n_features, config.resolved_hidden
+        self.tokenizer = TimeStepTokenizer(w, rng, enabled=config.time_embedding)
+        self.blocks = ModuleList([TimeStepMLPBlock(k if i == 0 else w, w, config.ffn_dropout, rng)
+                                  for i in range(config.blocks)])
+        self.head = Linear(w, k, rng)
 
     @property
     def row_cost(self) -> int:
@@ -177,10 +174,9 @@ class ResNetBlock(Module):
 
     def __init__(self, width: int, config: DenoiserConfig, rng: Rng | None):
         super().__init__()
-        dt = config.np_dtype
-        self.norm = BatchNorm1d(width, dtype=dt)
-        self.body = TimeStepMLPBlock(width, width, config.ffn_dropout, rng, dt)
-        self.proj = Linear(width, width, rng, dt)
+        self.norm = BatchNorm1d(width)
+        self.body = TimeStepMLPBlock(width, width, config.ffn_dropout, rng)
+        self.proj = Linear(width, width, rng)
         self.dropout = Dropout(config.residual_dropout)
 
     def forward(self, x, scale, shift, training, rng):
@@ -193,12 +189,12 @@ class ResNetBlock(Module):
 class ResNetDenoiser(Denoiser):
     def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
-        k, w, dt = config.n_features, config.resolved_hidden, config.np_dtype
-        self.tokenizer = TimeStepTokenizer(w, rng, enabled=config.time_embedding, dtype=dt)
-        self.stem = Linear(k, w, rng, dt)
+        k, w = config.n_features, config.resolved_hidden
+        self.tokenizer = TimeStepTokenizer(w, rng, enabled=config.time_embedding)
+        self.stem = Linear(k, w, rng)
         self.blocks = ModuleList([ResNetBlock(w, config, rng) for _ in range(config.blocks)])
-        self.out_norm = BatchNorm1d(w, dtype=dt)
-        self.head = Linear(w, k, rng, dt)
+        self.out_norm = BatchNorm1d(w)
+        self.head = Linear(w, k, rng)
 
     @property
     def row_cost(self) -> int:
@@ -215,10 +211,10 @@ class ResNetDenoiser(Denoiser):
 class FeatureTokenizer(Module):
     """Per-feature affine lift of scalar entries to embed_dim token vectors."""
 
-    def __init__(self, k: int, d: int, rng: Rng | None, dtype):
+    def __init__(self, k: int, d: int, rng: Rng | None):
         super().__init__()
-        self.weight = Tensor(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0), True, dtype)
-        self.bias = Tensor(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0), True, dtype)
+        self.weight = parameter(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0))
+        self.bias = parameter(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0))
 
     def forward(self, x: Tensor) -> Tensor:
         B, k = x.shape
@@ -232,13 +228,13 @@ class TransformerBlock(Module):
 
     def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__()
-        d, dt = config.embed_dim, config.np_dtype
+        d = config.embed_dim
         self.ffn_hidden = math.ceil(config.ffn_factor * d)
-        self.norm1 = LayerNorm(d, dtype=dt)
-        self.attn = MultiHeadSelfAttention(d, config.heads, config.attention_dropout, rng, dt)
-        self.norm2 = LayerNorm(d, dtype=dt)
-        self.ffn_in = Linear(d, 2 * self.ffn_hidden, rng, dt)  # ReGLU: value and gate halves
-        self.ffn_out = Linear(self.ffn_hidden, d, rng, dt)
+        self.norm1 = LayerNorm(d)
+        self.attn = MultiHeadSelfAttention(d, config.heads, config.attention_dropout, rng)
+        self.norm2 = LayerNorm(d)
+        self.ffn_in = Linear(d, 2 * self.ffn_hidden, rng)  # ReGLU: value and gate halves
+        self.ffn_out = Linear(self.ffn_hidden, d, rng)
         self.ffn_dropout = Dropout(config.ffn_dropout)
         self.res_dropout = Dropout(config.residual_dropout)
 
@@ -262,14 +258,14 @@ class TransformerDenoiser(Denoiser):
 
     def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
-        k, d, dt = config.n_features, config.embed_dim, config.np_dtype
+        k, d = config.n_features, config.embed_dim
         ffn_hidden = math.ceil(config.ffn_factor * d)
-        self.tokenizer = TimeStepTokenizer(ffn_hidden, rng, enabled=config.time_embedding, dtype=dt)
-        self.feature_tokenizer = FeatureTokenizer(k, d, rng, dt)
-        self.cls = Tensor(nn.kaiming_uniform(rng, (1, 1, d), fan_in=d, gain=1.0), True, dt)
+        self.tokenizer = TimeStepTokenizer(ffn_hidden, rng, enabled=config.time_embedding)
+        self.feature_tokenizer = FeatureTokenizer(k, d, rng)
+        self.cls = parameter(nn.kaiming_uniform(rng, (1, 1, d), fan_in=d, gain=1.0))
         self.blocks = ModuleList([TransformerBlock(config, rng) for _ in range(config.blocks)])
-        self.out_norm = LayerNorm(d, dtype=dt)
-        self.head = Linear(d, 1, rng, dt)
+        self.out_norm = LayerNorm(d)
+        self.head = Linear(d, 1, rng)
 
     @property
     def row_cost(self) -> int:
@@ -278,7 +274,7 @@ class TransformerDenoiser(Denoiser):
     def forward(self, x, t, training=False, rng=None):
         B, k = x.shape
         scale, shift = film_pair(self.tokenizer, t)
-        cls = self.cls + Tensor(np.zeros((B, 1, self.config.embed_dim), dtype=self.config.np_dtype))
+        cls = self.cls + Tensor(np.zeros((B, 1, self.config.embed_dim), dtype=self.cls.data.dtype))
         h = concat([cls, self.feature_tokenizer(x)], axis=1)
         for block in self.blocks:
             h = block(h, scale, shift, training, rng)
@@ -293,16 +289,15 @@ class UNetStage(Module):
 
     def __init__(self, in_ch: int, out_ch: int, config: DenoiserConfig, rng: Rng | None):
         super().__init__()
-        dt = config.np_dtype
         g = config.groupnorm_groups
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.tokenizer = TimeStepTokenizer(out_ch, rng, enabled=config.time_embedding, dtype=dt)
-        self.conv1 = _Conv1d(in_ch, out_ch, rng, dt)
-        self.gn1 = GroupNorm(out_ch, g, dtype=dt)
-        self.conv2 = _Conv1d(out_ch, out_ch, rng, dt)
-        self.gn2 = GroupNorm(out_ch, g, dtype=dt)
-        self.skip = _Conv1d(in_ch, out_ch, rng, dt, kernel=1) if in_ch != out_ch else None
-        self.attn = MultiHeadSelfAttention(out_ch, config.heads, config.attention_dropout, rng, dt)
+        self.tokenizer = TimeStepTokenizer(out_ch, rng, enabled=config.time_embedding)
+        self.conv1 = _Conv1d(in_ch, out_ch, rng)
+        self.gn1 = GroupNorm(out_ch, g)
+        self.conv2 = _Conv1d(out_ch, out_ch, rng)
+        self.gn2 = GroupNorm(out_ch, g)
+        self.skip = _Conv1d(in_ch, out_ch, rng, kernel=1) if in_ch != out_ch else None
+        self.attn = MultiHeadSelfAttention(out_ch, config.heads, config.attention_dropout, rng)
 
     def forward(self, x, t, training, rng):
         scale, shift = film_pair(self.tokenizer, t)
@@ -323,16 +318,14 @@ class UNetStage(Module):
 
 
 class _Conv1d(Module):
-    def __init__(self, in_ch: int, out_ch: int, rng: Rng | None, dtype, kernel: int = 3):
+    def __init__(self, in_ch: int, out_ch: int, rng: Rng | None, kernel: int = 3):
         super().__init__()
         fan_in = in_ch * kernel
         gain = 1.0 / math.sqrt(3.0)  # fan-in uniform, same family as Linear
-        self.weight = Tensor(
-            nn.kaiming_uniform(rng, (out_ch, in_ch, kernel), fan_in, gain), True, dtype
-        )
+        self.weight = parameter(nn.kaiming_uniform(rng, (out_ch, in_ch, kernel), fan_in, gain))
         bias = (np.zeros(out_ch) if rng is None
                 else (2.0 * rng.uniform((out_ch,)) - 1.0) / math.sqrt(fan_in))
-        self.bias = Tensor(bias, True, dtype)
+        self.bias = parameter(bias)
         self.padding = (kernel - 1) // 2
 
     def forward(self, x: Tensor) -> Tensor:
@@ -354,18 +347,15 @@ class UNetDenoiser(Denoiser):
 
     def __init__(self, config: DenoiserConfig, rng: Rng | None):
         super().__init__(config)
-        chans, dt = config.unet_channels, config.np_dtype
+        chans = config.unet_channels
         self.encoders = ModuleList(
             [UNetStage(1 if i == 0 else chans[i - 1], chans[i], config, rng)
              for i in range(len(chans))]
         )
         self.bottleneck = UNetStage(chans[-1], chans[-1], config, rng)
-        decs = []
-        for i in reversed(range(len(chans))):
-            out_ch = chans[i - 1] if i > 0 else chans[0]
-            decs.append(UNetStage(2 * chans[i], out_ch, config, rng))
-        self.decoders = ModuleList(decs)
-        self.head = Linear(chans[0], 1, rng, dt)
+        self.decoders = ModuleList([UNetStage(2 * chans[i], chans[max(i - 1, 0)], config, rng)
+                                    for i in reversed(range(len(chans)))])
+        self.head = Linear(chans[0], 1, rng)
 
     @property
     def row_cost(self) -> int:
@@ -389,7 +379,9 @@ def build_denoiser(config: DenoiserConfig, seed: int | None = 0) -> Denoiser:
     """Construct and initialize a denoiser; same (config, seed) -> same weights.
 
     ``seed`` None draws nothing and leaves every random-initialized weight
-    zero, for a checkpoint to fill.
+    zero, for a checkpoint to fill.  The network is built in float64 and cast
+    to ``config.dtype`` here, once: each weight is rounded from the same
+    float64 draw whatever the dtype.
     """
     rng = None if seed is None else Rng(seed)
     cls = {
@@ -398,4 +390,6 @@ def build_denoiser(config: DenoiserConfig, seed: int | None = 0) -> Denoiser:
         "transformer": TransformerDenoiser,
         "unet": UNetDenoiser,
     }[config.arch]
-    return cls(config, rng)
+    denoiser = cls(config, rng)
+    denoiser.cast(config.dtype)
+    return denoiser

@@ -2,7 +2,9 @@
 
 Modules are plain containers over :class:`~tabdiffuse.tensor.Tensor`
 parameters; ``named_parameters`` walks the tree in construction order,
-which also fixes checkpoint layout.  Stochastic layers (dropout) draw from
+which also fixes checkpoint layout.  Every module is built in float64;
+``denoisers.build_denoiser`` casts a whole network to its configured dtype
+once, with :meth:`Module.cast`.  Stochastic layers (dropout) draw from
 an explicit rng passed through ``forward`` so runs stay reproducible.
 """
 
@@ -61,26 +63,26 @@ class Module:
         for name, mod in self._modules.items():
             yield from mod.named_arrays(prefix=f"{prefix}{name}.")
 
+    def cast(self, dtype) -> None:
+        """Convert every parameter and buffer of the tree to ``dtype`` in place."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype, copy=False)
+        for name in self.buffers:
+            setattr(self, name, getattr(self, name).astype(dtype, copy=False))
+        for mod in self._modules.values():
+            mod.cast(dtype)
+
 
 class ModuleList(Module):
+    """Submodules named by their position, iterated in order."""
+
     def __init__(self, modules=()):
         super().__init__()
-        self._items: list[Module] = []
-        for m in modules:
-            self.append(m)
-
-    def append(self, module: Module) -> None:
-        self._modules[str(len(self._items))] = module
-        self._items.append(module)
+        for i, m in enumerate(modules):
+            self._modules[str(i)] = m
 
     def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
+        return iter(self._modules.values())
 
 
 # -- initialization -----------------------------------------------------------
@@ -107,14 +109,13 @@ class Linear(Module):
     Weights are drawn from the fan-in uniform U(-1/sqrt(in), 1/sqrt(in)].
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: Rng | None, dtype=np.float64):
+    def __init__(self, in_dim: int, out_dim: int, rng: Rng | None):
         super().__init__()
-        self.in_dim, self.out_dim = in_dim, out_dim
         gain = 1.0 / math.sqrt(3.0)
-        self.weight = parameter(kaiming_uniform(rng, (in_dim, out_dim), in_dim, gain), dtype=dtype)
+        self.weight = parameter(kaiming_uniform(rng, (in_dim, out_dim), in_dim, gain))
         bb = 1.0 / math.sqrt(in_dim)
         bias = np.zeros(out_dim) if rng is None else (2.0 * rng.uniform((out_dim,)) - 1.0) * bb
-        self.bias = parameter(bias, dtype=dtype)
+        self.bias = parameter(bias)
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -150,13 +151,13 @@ class Dropout(Module):
 class BatchNorm1d(Module):
     buffers = ("running_mean", "running_var")
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float64):
+    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
         self.dim, self.momentum, self.eps = dim, momentum, eps
-        self.gamma = parameter(np.ones(dim), dtype=dtype)
-        self.beta = parameter(np.zeros(dim), dtype=dtype)
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
+        self.gamma = parameter(np.ones(dim))
+        self.beta = parameter(np.zeros(dim))
+        self.running_mean = np.zeros(dim)
+        self.running_var = np.ones(dim)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if training:
@@ -176,11 +177,11 @@ class BatchNorm1d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float64):
+    def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
         self.dim, self.eps = dim, eps
-        self.gamma = parameter(np.ones(dim), dtype=dtype)
-        self.beta = parameter(np.zeros(dim), dtype=dtype)
+        self.gamma = parameter(np.ones(dim))
+        self.beta = parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
@@ -191,13 +192,13 @@ class LayerNorm(Module):
 class GroupNorm(Module):
     """Normalizes (batch, channels, length) over channel groups."""
 
-    def __init__(self, channels: int, groups: int, eps: float = 1e-5, dtype=np.float64):
+    def __init__(self, channels: int, groups: int, eps: float = 1e-5):
         super().__init__()
         if channels % groups != 0:
             raise ValueError(f"channels ({channels}) not divisible by groups ({groups})")
         self.channels, self.groups, self.eps = channels, groups, eps
-        self.gamma = parameter(np.ones((channels, 1)), dtype=dtype)
-        self.beta = parameter(np.zeros((channels, 1)), dtype=dtype)
+        self.gamma = parameter(np.ones((channels, 1)))
+        self.beta = parameter(np.zeros((channels, 1)))
 
     def forward(self, x: Tensor) -> Tensor:
         return group_norm(x, self.gamma, self.beta, self.groups, self.eps)
@@ -208,16 +209,15 @@ class GroupNorm(Module):
 class MultiHeadSelfAttention(Module):
     """Standard scaled dot-product self-attention over (batch, tokens, dim)."""
 
-    def __init__(self, dim: int, heads: int, attn_dropout: float, rng: Rng | None,
-                 dtype=np.float64):
+    def __init__(self, dim: int, heads: int, attn_dropout: float, rng: Rng | None):
         super().__init__()
         if dim % heads != 0:
             raise ValueError(f"dim ({dim}) not divisible by heads ({heads})")
         self.heads = heads
-        self.q = Linear(dim, dim, rng, dtype)
-        self.k = Linear(dim, dim, rng, dtype)
-        self.v = Linear(dim, dim, rng, dtype)
-        self.out = Linear(dim, dim, rng, dtype)
+        self.q = Linear(dim, dim, rng)
+        self.k = Linear(dim, dim, rng)
+        self.v = Linear(dim, dim, rng)
+        self.out = Linear(dim, dim, rng)
         self.attn_dropout = Dropout(attn_dropout)
 
     def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
@@ -265,23 +265,23 @@ class TimeStepTokenizer(Module):
     When disabled, emits zeros so time conditioning becomes the identity.
     """
 
-    def __init__(self, kprime: int, rng: Rng | None, enabled: bool = True, dtype=np.float64):
+    def __init__(self, kprime: int, rng: Rng | None, enabled: bool = True):
         super().__init__()
         self.kprime = kprime
         self.enabled = enabled
         d = 2 * kprime
-        self.lin1 = Linear(d, d, rng, dtype)
-        self.lin2 = Linear(d, d, rng, dtype)
-        self.lin3 = Linear(d, d, rng, dtype)
-        self._dtype = dtype
+        self.lin1 = Linear(d, d, rng)
+        self.lin2 = Linear(d, d, rng)
+        self.lin3 = Linear(d, d, rng)
 
     def forward(self, t) -> Tensor:
         """t: int array (batch,); returns embedding of shape (batch, 2*kprime)."""
         t = np.atleast_1d(np.asarray(t))
+        dtype = self.lin1.weight.data.dtype
         if not self.enabled:
-            return Tensor(np.zeros((t.shape[0], 2 * self.kprime), dtype=self._dtype))
+            return Tensor(np.zeros((t.shape[0], 2 * self.kprime), dtype=dtype))
         sin, cos = sinusoid_embed(t, self.kprime)
-        h = Tensor(np.concatenate([sin, cos], axis=-1).astype(self._dtype))
+        h = Tensor(np.concatenate([sin, cos], axis=-1).astype(dtype))
         return self.lin3(silu(self.lin2(gelu(self.lin1(h)))))
 
     __call__ = forward

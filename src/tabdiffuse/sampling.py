@@ -182,8 +182,9 @@ def impute_ddim_step(
 # -- full imputation ---------------------------------------------------------
 
 
-def build_plan(sched: DiffusionSchedule, opts: SamplerOptions) -> StepPlan:
-    seq = skip_seq(sched.T, opts.tau if opts.tau is not None else sched.T, opts.skip_type)
+def build_plan(opts: SamplerOptions) -> StepPlan:
+    T = opts.t_sampling
+    seq = skip_seq(T, opts.tau if opts.tau is not None else T, opts.skip_type)
     if any(b <= a for a, b in zip(seq, seq[1:])):
         # int truncation collapses dense quad subsets onto repeated steps
         raise ValueError(
@@ -194,7 +195,7 @@ def build_plan(sched: DiffusionSchedule, opts: SamplerOptions) -> StepPlan:
 
 
 def _denoiser_time(t_math: int, sample_t: int, train_t: int | None) -> int:
-    if train_t is None or train_t == sample_t:
+    if train_t is None:
         return t_math
     return max(1, round(t_math * train_t / sample_t))
 
@@ -203,7 +204,6 @@ def impute(
     denoiser: Denoiser,
     table: MaskedTable,
     opts: SamplerOptions,
-    sched: DiffusionSchedule | None = None,
     train_t: int | None = None,
     on_step=None,
 ) -> np.ndarray:
@@ -215,8 +215,6 @@ def impute(
     Each network evaluation runs in row shards (``parallel.sharded_eval``) cut
     by the network and the row count alone, never by the number of cores.
     """
-    if sched is None:
-        sched = build_cosine_schedule(opts.t_sampling)
     if table.x_obs.shape[1] != denoiser.config.n_features:
         raise ValueError(
             f"table has {table.x_obs.shape[1]} features, denoiser expects "
@@ -224,7 +222,8 @@ def impute(
         )
     mask = table.mask
     x0 = np.where(mask, table.x_obs, 0.0)  # placeholders at missing entries are never read
-    plan = build_plan(sched, opts)
+    sched = build_cosine_schedule(opts.t_sampling)
+    plan = build_plan(opts)
     rng = Rng(opts.seed)
     shape = x0.shape
     n = shape[0]

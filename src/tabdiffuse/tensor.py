@@ -246,9 +246,9 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return _like(a, b), b
 
 
-def parameter(data, dtype=None) -> Tensor:
+def parameter(data) -> Tensor:
     """A leaf tensor that accumulates gradients."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
+    return Tensor(data, requires_grad=True)
 
 
 # -- elementwise binary ops ----------------------------------------------------

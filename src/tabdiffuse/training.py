@@ -68,7 +68,6 @@ def train(
     denoiser: Denoiser,
     data: np.ndarray,
     cfg: TrainingConfig,
-    sched: DiffusionSchedule | None = None,
     on_batch=None,
     on_epoch_end=None,
 ) -> list[float]:
@@ -77,7 +76,7 @@ def train(
     ``on_batch(step, t, loss)`` and ``on_epoch_end(epoch, losses)`` are
     optional instrumentation hooks.  The input table is never mutated.
     """
-    data = np.asarray(data, dtype=denoiser.config.np_dtype)
+    data = np.asarray(data, dtype=denoiser.config.dtype)
     if data.ndim != 2 or data.shape[1] != denoiser.config.n_features:
         raise ValueError(f"expected (rows, {denoiser.config.n_features}) table")
     if not np.all(np.isfinite(data)):
@@ -88,9 +87,7 @@ def train(
     if isinstance(denoiser, ResNetDenoiser) and n % cfg.batch_size == 1:
         raise BatchSizeError(f"{n} rows leave a 1-row last batch at batch size {cfg.batch_size}, "
                              f"which the ResNet's batch norm cannot train on")
-    if sched is None:
-        sched = build_cosine_schedule(cfg.t_training)
-
+    sched = build_cosine_schedule(cfg.t_training)
     rng = Rng(cfg.seed)
     opt = AdamW(dict(denoiser.named_parameters()), lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[float] = []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,38 +65,49 @@ def test_checkpoint_carries_meta_and_names(tmp_path):
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_load_draws_no_initial_values(tmp_path, monkeypatch, arch):
-    den = build_denoiser(CONFIGS[arch], seed=8)
-    path = tmp_path / f"{arch}.ckpt"
-    save_checkpoint(path, den, train_t=100)
+    dens = [build_denoiser(replace(CONFIGS[arch], dtype=dtype), seed=8)
+            for dtype in ("float64", "float32")]
+    for den in dens:
+        save_checkpoint(tmp_path / f"{arch}-{den.config.dtype}.ckpt", den, train_t=100)
 
     def no_draws(self, shape=()):
         raise AssertionError("load_checkpoint drew a random initial value")
 
     monkeypatch.setattr(Rng, "uniform", no_draws)
-    loaded = load_checkpoint(path)[0]
-    for (na, pa), (nb, pb) in zip(den.named_parameters(), loaded.named_parameters()):
-        assert na == nb and pa.data.dtype == pb.data.dtype
-        np.testing.assert_array_equal(pa.data, pb.data)
+    for den in dens:
+        loaded = load_checkpoint(tmp_path / f"{arch}-{den.config.dtype}.ckpt")[0]
+        for (na, a), (nb, b) in zip(den.named_arrays(), loaded.named_arrays()):
+            assert na == nb and a.dtype == b.dtype == den.config.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 # sha256 (first 16 hex digits) over the parameter names and bytes of
-# build_denoiser(CONFIGS[arch], seed=31): the initial weights every training
-# run starts from, so a change here changes every trained checkpoint
+# build_denoiser(CONFIGS[arch] at each dtype, seed=31): the initial weights
+# every training run starts from, so a change here changes every trained
+# checkpoint
 INITIAL_WEIGHTS = {
-    "mlp": "1569b3ba2eb9194c",
-    "resnet": "99baac22afb4a5a2",
-    "transformer": "e8ab5563ae043d28",
-    "unet": "57c5e09b18a32d3e",
+    ("mlp", "float64"): "1569b3ba2eb9194c",
+    ("resnet", "float64"): "99baac22afb4a5a2",
+    ("transformer", "float64"): "e8ab5563ae043d28",
+    ("unet", "float64"): "57c5e09b18a32d3e",
+    ("mlp", "float32"): "7a54fdd41e4a5763",
+    ("resnet", "float32"): "d28857c69c3452fb",
+    ("transformer", "float32"): "9f14a01d804dffe1",
+    ("unet", "float32"): "1d5c45b10bbba170",
 }
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_seeded_initial_weights_are_pinned(arch):
-    h = hashlib.sha256()
-    for name, p in build_denoiser(CONFIGS[arch], seed=31).named_parameters():
-        h.update(name.encode())
-        h.update(p.data.tobytes())
-    assert h.hexdigest()[:16] == INITIAL_WEIGHTS[arch]
+    for dtype in ("float64", "float32"):
+        den = build_denoiser(replace(CONFIGS[arch], dtype=dtype), seed=31)
+        h = hashlib.sha256()
+        for name, p in den.named_parameters():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest()[:16] == INITIAL_WEIGHTS[arch, dtype]
+        # buffers too: a ResNet's batch-norm statistics
+        assert all(a.dtype == den.config.dtype for _, a in den.named_arrays())
 
 
 # sha256 (first 16 hex digits) of save_checkpoint(build_denoiser(CONFIGS[arch],

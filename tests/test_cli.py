@@ -493,9 +493,8 @@ def test_config_file_grid_string_for_benchmark(workdir, tmp_path):
             if not l.startswith("#")]
     assert body[0] == "method,mcar-0.3,mcar-0.6"
     # a grid value >= 1 is a percent, one below 1 a fraction
-    specs = _parse_grid(["mcar=1..21", "mcar=1,0.5"], n_features=2)
-    assert [s.label for s in specs] == ["mcar-0.01", "mcar-0.11", "mcar-0.21", "mcar-0.01",
-                                        "mcar-0.5"]
+    specs = _parse_grid(["mcar=1..21", "mcar=0.5"], n_features=2)
+    assert [s.label for s in specs] == ["mcar-0.01", "mcar-0.11", "mcar-0.21", "mcar-0.5"]
 
 
 # -- resolved config and config files -------------------------------------------------
@@ -624,7 +623,8 @@ def test_command_line_flags_win_over_config_file(workdir, tmp_path):
     cfg = tmp_path / "bench.cfg"
     # the configured checkpoints do not exist: loading them would fail the run
     cfg.write_text("[benchmark]\nseed = 3\ncheckpoint = missing-a.ckpt;missing-b.ckpt\n"
-                   "methods = mean\ngrid = mcar=40\nn-mask-seeds = 1\n")
+                   "methods = mean,diffusion-mlp\ngrid = mcar=40\nn-mask-seeds = 1\n"
+                   "n-inferences = 1\nT-sampling = 10\n")
     out_dir = tmp_path / "bench"
     rc = main([
         "benchmark", "--config", str(cfg), "--data", str(workdir / "data.csv"),
@@ -707,12 +707,14 @@ def test_ablate_no_tst_checkpoint_feature_count_mismatch_exit_2(workdir, three_f
 @pytest.fixture(scope="module")
 def misfit_tables(workdir):
     """Tables that load but do not fit the run: a target with a nan in the
-    sixth data row (row 7 of the file), and the fixture's columns swapped."""
+    sixth data row (row 7 of the file), and the fixture's columns swapped;
+    and a second copy of the fixture's MLP checkpoint."""
     x = load_csv(workdir / "data.csv").features
     y = x[:, 0].copy()
     y[5] = np.nan
     write_csv(workdir / "nan_target.csv", np.column_stack([x, y]), ["f1", "f2", "y"])
     write_csv(workdir / "swapped.csv", x[:, ::-1] * 100.0, ["f2", "f1"])
+    (workdir / "copy.ckpt").write_bytes((workdir / "run" / "checkpoint.ckpt").read_bytes())
     return workdir
 
 
@@ -736,10 +738,28 @@ def misfit_tables(workdir):
       "--seed", "1"], "the mcar-0.01 mask of mask seed 0 hides no entry"),
     (["ablate", "--checkpoint", "{work}/run/checkpoint.ckpt", "--preset", "harmonization",
       "--mcar", "0.002", "--n-mask-seeds", "3"], "the mcar-0.002 mask of mask seed 1 hides no"),
+    # zero-size networks
+    (["train", "--arch", "transformer", "--heads", "0"], "heads must be >= 1"),
+    (["train", "--arch", "transformer", "--embed-dim", "0"], "embed_dim must be >= 1"),
+    (["train", "--arch", "unet", "--heads", "0"], "heads must be >= 1"),
+    (["train", "--arch", "unet", "--unet-channels", "0,16"], "unet_channels entry must be >= 1"),
+    (["train", "--arch", "mlp", "--hidden", "0"], "hidden must be >= 1"),
+    (["train", "--arch", "resnet", "--hidden", "0"], "hidden must be >= 1"),
+    # checkpoints that no method would score, and repeated report columns or rows
+    (["benchmark", "--methods", "mean,diffusion-mlp", "--checkpoint", "{work}/run/checkpoint.ckpt",
+      "--checkpoint", "{work}/copy.ckpt"], "checkpoint.ckpt and {work}/copy.ckpt both provide"),
+    (["benchmark", "--methods", "mean", "--checkpoint", "{work}/run/checkpoint.ckpt"],
+     "provides diffusion-mlp, which --methods does not list"),
+    (["benchmark", "--methods", "mean", "--grid", "mcar=30", "mcar=0.3"],
+     "grid setting 'mcar-0.3' is given more than once"),
+    (["benchmark", "--methods", "mean,median,mean"], "method 'mean' is given more than once"),
 ], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every",
         "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
         "resnet-one-row-tail", "unknown-method", "missing-checkpoint", "non-finite-target",
-        "feature-names-differ", "benchmark-mask-hides-nothing", "ablate-mask-hides-nothing"])
+        "feature-names-differ", "benchmark-mask-hides-nothing", "ablate-mask-hides-nothing",
+        "transformer-heads-0", "transformer-embed-dim-0", "unet-heads-0", "unet-channel-0",
+        "mlp-hidden-0", "resnet-hidden-0", "two-checkpoints-one-method",
+        "checkpoint-not-in-methods", "grid-setting-twice", "method-twice"])
 def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys,
                                                      monkeypatch, flags, message):
     """Each of these exits 2 before any output is written: the run leaves no
@@ -762,7 +782,7 @@ def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, ca
     out_flag = "--out-dir" if command in ("benchmark", "ablate") else "--out"
     assert main([command, "--data", str(workdir / "data.csv"), *rest,
                  out_flag, str(tmp_path / "o")]) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(work=workdir) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert calls == []
 

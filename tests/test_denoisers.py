@@ -214,7 +214,7 @@ def test_denoiser_gradients_match_finite_differences(arch):
 def _identity_block(dim):
     from tabdiffuse.denoisers import TimeStepMLPBlock
 
-    block = TimeStepMLPBlock(dim, dim, drop=0.5, rng=Rng(0), dtype=np.float64)
+    block = TimeStepMLPBlock(dim, dim, drop=0.5, rng=Rng(0))
     block.linear.weight.data[...] = np.eye(dim)
     block.linear.bias.data[...] = 0.0
     return block
@@ -239,7 +239,7 @@ def test_timestep_block_relu_zeroes_negative_preactivation():
 def test_timestep_block_matches_layer_by_layer_oracle():
     from tabdiffuse.denoisers import TimeStepMLPBlock
 
-    block = TimeStepMLPBlock(3, 4, drop=0.0, rng=Rng(5), dtype=np.float64)
+    block = TimeStepMLPBlock(3, 4, drop=0.0, rng=Rng(5))
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 3))
     scale = rng.normal(size=(6, 4))

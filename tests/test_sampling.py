@@ -268,10 +268,9 @@ def test_impute_visits_exactly_the_plan():
     m = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=bool)
     table = MaskedTable(x, m)
     opts = SamplerOptions(t_sampling=40, tau=8, jump_length=1, jump_n_sample=3, seed=2)
-    sched = build_cosine_schedule(opts.t_sampling)
     visited = []
-    impute(den, table, opts, sched=sched, on_step=lambda t, state: visited.append(t))
-    assert visited == build_plan(sched, opts).ts
+    impute(den, table, opts, on_step=lambda t, state: visited.append(t))
+    assert visited == build_plan(opts).ts
 
 
 def test_dense_ddim_eta1_trajectory_matches_ddpm():
