@@ -3,9 +3,11 @@
 Layout: 8-byte magic, big-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then the raw parameters and buffers (batch-norm running
 statistics) concatenated in header order (C-contiguous, little-endian).  The
-header carries the architecture config, array names and shapes, the training
-time-axis length, and the data scaler, so a checkpoint alone reconstructs a
-working imputer.  Identical inputs produce identical bytes.
+header carries the architecture config, array names and shapes, and what the
+network carries beside its weights: its training time-axis length
+(``train_t``), its data ``scaler`` and its ``feature_names``.  So a
+checkpoint alone reconstructs a working imputer.  Identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -27,14 +29,7 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(
-    path,
-    denoiser: Denoiser,
-    train_t: int,
-    scaler: MinMaxScaler | None = None,
-    feature_names: tuple[str, ...] | None = None,
-    meta: dict | None = None,
-) -> None:
+def save_checkpoint(path, denoiser: Denoiser, meta: dict | None = None) -> None:
     entries = []
     offset = 0
     blobs = []
@@ -45,15 +40,16 @@ def save_checkpoint(
         entries.append({"name": name, "shape": list(array.shape), "offset": offset})
         offset += len(raw)
         blobs.append(raw)
+    scaler, names = denoiser.scaler, denoiser.feature_names
     header = {
         "format_version": FORMAT_VERSION,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in asdict(denoiser.config).items()},
         "dtype": denoiser.config.dtype,
-        "train_t": int(train_t),
+        "train_t": denoiser.train_t,
         "params": entries,
         "scaler": scaler.to_dict() if scaler is not None else None,
-        "feature_names": list(feature_names) if feature_names is not None else None,
+        "feature_names": list(names) if names is not None else None,
         "meta": meta or {},
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -66,7 +62,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Returns (denoiser, train_t, scaler, feature_names, meta)."""
+    """Returns (denoiser, meta); the denoiser carries its ``train_t``,
+    ``scaler`` and ``feature_names``."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
@@ -77,9 +74,12 @@ def load_checkpoint(path):
     cfg_dict = dict(header["config"])
     cfg_dict["unet_channels"] = tuple(cfg_dict["unet_channels"])
     config = DenoiserConfig(**cfg_dict)
+    if header["dtype"] != config.dtype:
+        raise CheckpointError(f"{path}: arrays stored as {header['dtype']}, config says "
+                              f"{config.dtype}")
     denoiser = build_denoiser(config, seed=None)  # draws nothing: every weight is read below
     body = memoryview(raw)[16 + head_len :]  # a view: the weights are copied once, below
-    np_dtype = np.dtype("<f8" if header["dtype"] == "float64" else "<f4")
+    np_dtype = np.dtype(config.dtype).newbyteorder("<")
     seen = set()
     by_name = dict(denoiser.named_arrays())
     for entry in header["params"]:
@@ -96,6 +96,8 @@ def load_checkpoint(path):
     missing = sorted(set(by_name) - seen)
     if missing:
         raise CheckpointError(f"{path}: missing arrays {missing}")
-    scaler = MinMaxScaler.from_dict(header["scaler"]) if header["scaler"] else None
-    names = tuple(header["feature_names"]) if header["feature_names"] else None
-    return denoiser, header["train_t"], scaler, names, header.get("meta", {})
+    denoiser.train_t = header["train_t"]
+    denoiser.scaler = MinMaxScaler.from_dict(header["scaler"]) if header["scaler"] else None
+    names = header["feature_names"]
+    denoiser.feature_names = tuple(names) if names else None
+    return denoiser, header.get("meta", {})

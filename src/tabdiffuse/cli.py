@@ -240,9 +240,10 @@ def _existing(path: Path, what: str) -> Path:
 
 
 def _load_model(path: Path, feature_names: tuple[str, ...]):
-    """load_checkpoint, checked against the data's feature count and, when the
-    checkpoint stores them, its feature names; returns (denoiser, train_t, scaler)."""
-    denoiser, train_t, scaler, names, _ = load_checkpoint(_existing(path, "checkpoint"))
+    """The checkpoint's network, checked against the data's feature count and,
+    when the checkpoint stores them, its feature names."""
+    denoiser = load_checkpoint(_existing(path, "checkpoint"))[0]
+    names = denoiser.feature_names
     expected = denoiser.config.n_features
     if expected != len(feature_names):
         raise UsageError(f"data has {len(feature_names)} features, checkpoint {path} expects "
@@ -251,7 +252,7 @@ def _load_model(path: Path, feature_names: tuple[str, ...]):
         i = next(i for i, (a, b) in enumerate(zip(names, feature_names)) if a != b)
         raise UsageError(f"data feature {i + 1} is {feature_names[i]!r}, checkpoint {path} "
                          f"expects {names[i]!r}")
-    return denoiser, train_t, scaler
+    return denoiser
 
 
 # -- train ------------------------------------------------------------------------
@@ -284,20 +285,21 @@ def cmd_train(args):
     )
     out_dir = args.out
     denoiser = build_denoiser(den_cfg, seed=tr_cfg.seed)
+    denoiser.scaler, denoiser.feature_names = scaler, ds.feature_names
 
     def checkpoint(name, meta=None):
         out_dir.mkdir(parents=True, exist_ok=True)  # made by the first checkpoint
-        save_checkpoint(out_dir / name, denoiser, train_t=tr_cfg.t_training, scaler=scaler,
-                        feature_names=ds.feature_names, meta=meta)
+        save_checkpoint(out_dir / name, denoiser, meta=meta)
         _log(f"[train] wrote {out_dir / name}")
 
-    def maybe_checkpoint(epoch, losses):
+    def epoch_end(epoch, losses):
+        _log(f"[train] epoch {epoch + 1}/{tr_cfg.epochs}: mean loss {losses[-1]:.6f}")
         every = args.checkpoint_every
         if every and (epoch + 1) % every == 0:
             checkpoint(f"epoch_{epoch + 1:04d}.ckpt")
 
     t0 = time.perf_counter()
-    history = train(denoiser, scaled, tr_cfg, on_epoch_end=maybe_checkpoint)
+    history = train(denoiser, scaled, tr_cfg, on_epoch_end=epoch_end)
     _log(f"[train] {tr_cfg.epochs} epochs in {time.perf_counter() - t0:.2f}s, "
          f"final loss {history[-1]:.6f}")
     checkpoint("checkpoint.ckpt", meta={"seed": tr_cfg.seed})
@@ -326,7 +328,8 @@ def _make_mask(args, n_rows: int, n_cols: int, seed: int) -> np.ndarray:
 
 def cmd_impute(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
-    denoiser, train_t, scaler = _load_model(args.checkpoint, ds.feature_names)
+    denoiser = _load_model(args.checkpoint, ds.feature_names)
+    scaler = denoiser.scaler
     seed = args.seed
     mask = _make_mask(args, ds.n_rows, ds.n_features, seed)
     opts = SamplerOptions(
@@ -342,7 +345,7 @@ def cmd_impute(args):
     table = MaskedTable(scaled, mask)
     t0 = time.perf_counter()
     out_scaled = average_inferences(
-        lambda s: impute(denoiser, table, replace(opts, seed=s), train_t=train_t),
+        lambda s: impute(denoiser, table, replace(opts, seed=s)),
         args.n_inferences, derive_seed(seed, _SAMPLE_STREAM))
     elapsed = time.perf_counter() - t0
     plan = build_plan(opts)
@@ -396,14 +399,14 @@ def _reject_repeats(what: str, names) -> None:
             raise UsageError(f"{what} {name!r} is given more than once")
 
 
-def _diffusion_impute_fn(denoiser, train_t, opts):
+def _diffusion_impute_fn(denoiser, opts):
     """Adapter: one inference of the diffusion imputer, in the checkpoint's
     model space."""
 
     def fn(x_obs, mask, seed):
         # derive_seed(seed, 0) is the stream earlier versions' one-inference impute drew
         opts_i = replace(opts, seed=derive_seed(seed, 0))
-        return impute(denoiser, MaskedTable(x_obs, mask), opts_i, train_t=train_t)
+        return impute(denoiser, MaskedTable(x_obs, mask), opts_i)
 
     return fn
 
@@ -437,7 +440,7 @@ def cmd_benchmark(args):
 
     checkpoints = {}
     for path_str in args.checkpoints:
-        denoiser, train_t, ck_scaler = _load_model(Path(path_str), ds.feature_names)
+        denoiser = _load_model(Path(path_str), ds.feature_names)
         method = f"diffusion-{denoiser.config.arch}"
         if method in checkpoints:
             raise UsageError(f"checkpoints {checkpoints[method][0]} and {path_str} "
@@ -445,7 +448,7 @@ def cmd_benchmark(args):
         if method not in methods:
             raise UsageError(f"checkpoint {path_str} provides {method}, "
                              f"which --methods does not list")
-        checkpoints[method] = (path_str, denoiser, train_t, ck_scaler)
+        checkpoints[method] = (path_str, denoiser)
     opts = SamplerOptions(t_sampling=args.T_sampling, tau=args.tau, eta=args.eta,
                           jump_length=args.jump_length, jump_n_sample=args.jump_n_sample)
 
@@ -456,9 +459,10 @@ def cmd_benchmark(args):
                 return baseline_impute(_kind, x_obs, mask, train_scaled)
             impute_fns[method] = (fn, 1)
         elif method in checkpoints:
-            _, denoiser, train_t, ck_scaler = checkpoints[method]
-            fn = _diffusion_impute_fn(denoiser, train_t, opts)
-            impute_fns[method] = (_in_bench_space(fn, ck_scaler, bench_scaler), args.n_inferences)
+            _, denoiser = checkpoints[method]
+            fn = _diffusion_impute_fn(denoiser, opts)
+            impute_fns[method] = (_in_bench_space(fn, denoiser.scaler, bench_scaler),
+                                  args.n_inferences)
         else:
             raise UsageError(
                 f"method {method!r} is not a baseline and no checkpoint provides it "
@@ -545,41 +549,42 @@ def cmd_benchmark(args):
 
 def cmd_ablate(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
-    denoiser, train_t, ck_scaler = _load_model(args.checkpoint, ds.feature_names)
+    denoiser = _load_model(args.checkpoint, ds.feature_names)
+    scaler = denoiser.scaler
     arch = denoiser.config.arch
     _, test_ds = split(ds, fraction=args.split_fraction, seed=args.seed)
     # scored in the checkpoint's scaled space
-    x_true = ck_scaler.transform(test_ds.features) if ck_scaler is not None else test_ds.features
+    x_true = scaler.transform(test_ds.features) if scaler is not None else test_ds.features
 
     opts = SamplerOptions(t_sampling=args.T_sampling, eta=args.eta,
                           jump_n_sample=args.jump_n_sample)
     if args.preset == "tau-sweep":
         # retrace depth 5 rides along, matching the published sweep protocol;
         # a skip length covering the whole axis is the plain sampler
-        runs = [(f"tau={tau}", denoiser, train_t,
+        runs = [(f"tau={tau}", denoiser,
                  replace(opts, tau=tau if tau < args.T_sampling else None, jump_n_sample=5))
                 for tau in TAU_SWEEP]
     elif args.preset == "harmonization":
-        runs = [(f"j={j}", denoiser, train_t, replace(opts, jump_n_sample=j)) for j in (1, 5)]
+        runs = [(f"j={j}", denoiser, replace(opts, jump_n_sample=j)) for j in (1, 5)]
     else:  # no-tst
         if not args.checkpoint_no_tst:
             raise UsageError("--preset no-tst requires --checkpoint-no-tst")
-        den2, tt2, _ = _load_model(args.checkpoint_no_tst, ds.feature_names)
+        den2 = _load_model(args.checkpoint_no_tst, ds.feature_names)
         if den2.config.time_embedding:
             raise UsageError(
                 "--checkpoint-no-tst must hold a model trained with the time tokenizer disabled"
             )
         if den2.config.arch != arch:
             raise UsageError("both checkpoints must share an architecture")
-        runs = [("tst", denoiser, train_t, opts), ("no-tst", den2, tt2, opts)]
+        runs = [("tst", denoiser, opts), ("no-tst", den2, opts)]
 
     spec = MaskSpec("mcar", p_random=args.mcar)
     masks = draw_masks(spec, *x_true.shape, args.n_mask_seeds,
                        derive_seed(args.seed, _MASK_STREAM))
     rows: list[list[str]] = []
     per_seed_rows: list[list[str]] = []
-    for label, den, tt, run_opts in runs:
-        scored = ensemble_eval(_diffusion_impute_fn(den, tt, run_opts), label, x_true,
+    for label, den, run_opts in runs:
+        scored = ensemble_eval(_diffusion_impute_fn(den, run_opts), label, x_true,
                                spec.label, masks, n_inferences=args.n_inferences)
         rows.append([label, _fmt(np.mean([r.mse for r in scored]))])
         per_seed_rows += [[label, str(r.mask_seed), _fmt(r.mse)] for r in scored]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .data import MinMaxScaler
 from .nn import (
     BatchNorm1d,
     Dropout,
@@ -88,11 +89,20 @@ class DenoiserConfig:
 
 
 class Denoiser(Module):
-    """Base class: config + eval/train forward."""
+    """Base class: config + eval/train forward.
+
+    A network also carries what a checkpoint stores beside its weights, all
+    None until set: ``train_t``, the time-axis length it was trained on (set
+    by ``training.train``; the sampler maps its steps onto this axis), and the
+    ``scaler`` and ``feature_names`` of the table it was trained on.
+    """
 
     def __init__(self, config: DenoiserConfig):
         super().__init__()
         self.config = config
+        self.train_t: int | None = None
+        self.scaler: MinMaxScaler | None = None
+        self.feature_names: tuple[str, ...] | None = None
 
     @property
     def row_cost(self) -> int:

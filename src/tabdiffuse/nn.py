@@ -28,6 +28,10 @@ from .tensor import (
 )
 
 
+NORM_EPS = 1e-5  # added to every norm layer's variance
+BATCH_NORM_MOMENTUM = 0.1  # weight of a training batch in the running statistics
+
+
 class BatchSizeError(ValueError):
     """Batch statistics are undefined for a single-row training batch."""
 
@@ -88,7 +92,7 @@ class ModuleList(Module):
 # -- initialization -----------------------------------------------------------
 
 
-def kaiming_uniform(rng: Rng | None, shape, fan_in: int, gain: float = math.sqrt(2.0)):
+def kaiming_uniform(rng: Rng | None, shape, fan_in: int, gain: float):
     """Fan-in scaled uniform init, U(-bound, bound] with bound = gain*sqrt(3/fan_in).
 
     With ``rng`` None the values are zeros and nothing is drawn: the network
@@ -151,9 +155,8 @@ class Dropout(Module):
 class BatchNorm1d(Module):
     buffers = ("running_mean", "running_var")
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
-        self.dim, self.momentum, self.eps = dim, momentum, eps
         self.gamma = parameter(np.ones(dim))
         self.beta = parameter(np.zeros(dim))
         self.running_mean = np.zeros(dim)
@@ -166,25 +169,25 @@ class BatchNorm1d(Module):
             mu = x.mean(axis=0, keepdims=True)
             xc = x - mu
             var = (xc * xc).mean(axis=0, keepdims=True)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu.data[0]
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var.data[0]
-            xhat = xc * ((var + self.eps) ** -0.5)
+            m = BATCH_NORM_MOMENTUM
+            self.running_mean = (1 - m) * self.running_mean + m * mu.data[0]
+            self.running_var = (1 - m) * self.running_var + m * var.data[0]
+            xhat = xc * ((var + NORM_EPS) ** -0.5)
         else:
-            xhat = (x - self.running_mean) * ((self.running_var + self.eps) ** -0.5)
+            xhat = (x - self.running_mean) * ((self.running_var + NORM_EPS) ** -0.5)
         return xhat * self.gamma + self.beta
 
     __call__ = forward
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
-        self.dim, self.eps = dim, eps
         self.gamma = parameter(np.ones(dim))
         self.beta = parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta, NORM_EPS)
 
     __call__ = forward
 
@@ -192,16 +195,16 @@ class LayerNorm(Module):
 class GroupNorm(Module):
     """Normalizes (batch, channels, length) over channel groups."""
 
-    def __init__(self, channels: int, groups: int, eps: float = 1e-5):
+    def __init__(self, channels: int, groups: int):
         super().__init__()
         if channels % groups != 0:
             raise ValueError(f"channels ({channels}) not divisible by groups ({groups})")
-        self.channels, self.groups, self.eps = channels, groups, eps
+        self.groups = groups
         self.gamma = parameter(np.ones((channels, 1)))
         self.beta = parameter(np.zeros((channels, 1)))
 
     def forward(self, x: Tensor) -> Tensor:
-        return group_norm(x, self.gamma, self.beta, self.groups, self.eps)
+        return group_norm(x, self.gamma, self.beta, self.groups, NORM_EPS)
 
     __call__ = forward
 

@@ -12,7 +12,9 @@ When the network was trained on a longer time axis than the sampler runs
 (e.g. 1000 vs 500), the integer step fed to the network is rescaled by
 T_train / T_sample so the time conditioning stays in distribution; the
 cosine schedule's noise levels depend only on t/T, which makes the two
-axes line up.
+axes line up.  T_train is the network's own ``train_t``, which training
+sets and a checkpoint restores; a network that was never trained gets the
+sampling step unscaled.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class SamplerOptions:
             raise ValueError("t_sampling must be >= 1")
         if self.tau is not None and not 1 <= self.tau <= self.t_sampling:
             raise ValueError("tau must lie in [1, t_sampling]")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.jump_length < 1 or self.jump_n_sample < 1:
             raise ValueError("jump parameters must be >= 1")
 
@@ -204,7 +206,6 @@ def impute(
     denoiser: Denoiser,
     table: MaskedTable,
     opts: SamplerOptions,
-    train_t: int | None = None,
     on_step=None,
 ) -> np.ndarray:
     """Fill the unknown region of a scaled table; known entries pass through.
@@ -239,6 +240,7 @@ def impute(
     # the loop's short-lived arrays stop faulting fresh pages in on every
     # step.  Until some large array has been freed, it trims past 128 kB.
     np.empty(1 << 18)
+    train_t = denoiser.train_t
     with sharded_eval(denoiser, n) as evaluate:
         for a, b in plan.pairs():
             if b < a:  # denoising step from level a+1 down to level b+1

@@ -8,6 +8,7 @@ with the smooth-L1 loss under AdamW.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,12 @@ class TrainingConfig:
             raise ValueError("batch_size must be >= 2")
         if self.t_training < 1:
             raise ValueError("t_training must be >= 1")
-        if self.beta_l1 <= 0:
-            raise ValueError("beta_l1 must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.beta_l1) and self.beta_l1 > 0):
+            raise ValueError(f"beta_l1 must be finite and > 0, got {self.beta_l1}")
 
 
 def q_sample(sched: DiffusionSchedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -71,7 +76,8 @@ def train(
     on_batch=None,
     on_epoch_end=None,
 ) -> list[float]:
-    """Fit ``denoiser`` on a complete table; returns per-epoch mean losses.
+    """Fit ``denoiser`` on a complete table and set its ``train_t`` to
+    ``cfg.t_training``; returns per-epoch mean losses.
 
     ``on_batch(step, t, loss)`` and ``on_epoch_end(epoch, losses)`` are
     optional instrumentation hooks.  The input table is never mutated.
@@ -88,6 +94,7 @@ def train(
         raise BatchSizeError(f"{n} rows leave a 1-row last batch at batch size {cfg.batch_size}, "
                              f"which the ResNet's batch norm cannot train on")
     sched = build_cosine_schedule(cfg.t_training)
+    denoiser.train_t = cfg.t_training  # before the first step, so epoch checkpoints carry it
     rng = Rng(cfg.seed)
     opt = AdamW(dict(denoiser.named_parameters()), lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[float] = []

@@ -271,8 +271,7 @@ def test_criterion_5_beats_mean_imputation(benchmark_model):
 
     def diff_fn(x_obs, mask, seed):
         return impute(bm["denoiser"], MaskedTable(x_obs, mask),
-                      SamplerOptions(t_sampling=500, seed=derive_seed(seed, 0)),
-                      train_t=1000)
+                      SamplerOptions(t_sampling=500, seed=derive_seed(seed, 0)))
 
     def mean_fn(x_obs, mask, seed):
         return baseline_impute("mean", x_obs, mask, bm["train_s"])
@@ -300,8 +299,7 @@ def _sweep_mse(bm, tau, jump_n_sample, mask_seed, eta, n_inferences=5):
     opts = SamplerOptions(t_sampling=500, tau=tau, jump_length=1,
                           jump_n_sample=jump_n_sample, eta=eta)
     avg = average_inferences(
-        lambda s: impute(bm["denoiser"], table, replace(opts, seed=derive_seed(s, 0)),
-                         train_t=1000),
+        lambda s: impute(bm["denoiser"], table, replace(opts, seed=derive_seed(s, 0))),
         n_inferences, mask_seed)
     d = test_s[~mask] - avg[~mask]
     return float(np.mean(d * d))

@@ -23,15 +23,17 @@ CONFIGS = {
 def test_roundtrip_bit_exact(tmp_path, arch):
     den = build_denoiser(CONFIGS[arch], seed=31)
     scaler = MinMaxScaler().fit(Rng(0).normal((10, CONFIGS[arch].n_features)))
+    den.train_t, den.scaler = 1000, scaler
     path = tmp_path / f"{arch}.ckpt"
-    save_checkpoint(path, den, train_t=1000, scaler=scaler, feature_names=("a",) * 0 or None)
-    loaded, train_t, sc, names, meta = load_checkpoint(path)
-    assert train_t == 1000
+    save_checkpoint(path, den)
+    loaded, meta = load_checkpoint(path)
+    assert loaded.train_t == 1000
+    assert loaded.feature_names is None
     assert loaded.config == den.config
     for (na, pa), (nb, pb) in zip(den.named_parameters(), loaded.named_parameters()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
-    np.testing.assert_array_equal(sc.data_min_, scaler.data_min_)
+    np.testing.assert_array_equal(loaded.scaler.data_min_, scaler.data_min_)
     x = Rng(1).normal((4, CONFIGS[arch].n_features))
     t = np.full(4, 7)
     np.testing.assert_array_equal(den(x, t).data, loaded(x, t).data)
@@ -40,9 +42,10 @@ def test_roundtrip_bit_exact(tmp_path, arch):
 def test_checkpoint_bytes_deterministic(tmp_path):
     den1 = build_denoiser(CONFIGS["mlp"], seed=5)
     den2 = build_denoiser(CONFIGS["mlp"], seed=5)
+    den1.train_t = den2.train_t = 100
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, den1, train_t=100)
-    save_checkpoint(p2, den2, train_t=100)
+    save_checkpoint(p1, den1)
+    save_checkpoint(p2, den2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -55,11 +58,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_carries_meta_and_names(tmp_path):
     den = build_denoiser(CONFIGS["mlp"], seed=1)
+    den.train_t, den.feature_names = 50, ("f1", "f2", "f3")
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, den, train_t=50, feature_names=("f1", "f2", "f3"),
-                    meta={"note": "fixture"})
-    _, _, _, names, meta = load_checkpoint(path)
-    assert names == ("f1", "f2", "f3")
+    save_checkpoint(path, den, meta={"note": "fixture"})
+    loaded, meta = load_checkpoint(path)
+    assert loaded.feature_names == ("f1", "f2", "f3")
     assert meta == {"note": "fixture"}
 
 
@@ -68,7 +71,8 @@ def test_load_draws_no_initial_values(tmp_path, monkeypatch, arch):
     dens = [build_denoiser(replace(CONFIGS[arch], dtype=dtype), seed=8)
             for dtype in ("float64", "float32")]
     for den in dens:
-        save_checkpoint(tmp_path / f"{arch}-{den.config.dtype}.ckpt", den, train_t=100)
+        den.train_t = 100
+        save_checkpoint(tmp_path / f"{arch}-{den.config.dtype}.ckpt", den)
 
     def no_draws(self, shape=()):
         raise AssertionError("load_checkpoint drew a random initial value")
@@ -111,7 +115,7 @@ def test_seeded_initial_weights_are_pinned(arch):
 
 
 # sha256 (first 16 hex digits) of save_checkpoint(build_denoiser(CONFIGS[arch],
-# seed=31), train_t=100): the file format; the ResNet's holds its batch-norm
+# seed=31) with train_t 100): the file format; the ResNet's holds its batch-norm
 # running statistics after its parameters
 CHECKPOINT_BYTES = {
     "mlp": "54fe57916cf10604",
@@ -123,8 +127,10 @@ CHECKPOINT_BYTES = {
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_checkpoint_bytes_are_pinned(tmp_path, arch):
+    den = build_denoiser(CONFIGS[arch], seed=31)
+    den.train_t = 100
     path = tmp_path / f"{arch}.ckpt"
-    save_checkpoint(path, build_denoiser(CONFIGS[arch], seed=31), train_t=100)
+    save_checkpoint(path, den)
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CHECKPOINT_BYTES[arch]
 
 
@@ -140,7 +146,7 @@ def test_resnet_checkpoint_keeps_batch_norm_statistics(tmp_path):
     den = _trained_resnet()
     assert np.any(den.out_norm.running_mean != 0.0)
     path = tmp_path / "resnet.ckpt"
-    save_checkpoint(path, den, train_t=50)
+    save_checkpoint(path, den)  # train_t 50, set by train
     loaded = load_checkpoint(path)[0]
     for (na, a), (nb, b) in zip(den.named_arrays(), loaded.named_arrays()):
         assert na == nb
@@ -149,16 +155,59 @@ def test_resnet_checkpoint_keeps_batch_norm_statistics(tmp_path):
     np.testing.assert_array_equal(den(x, t).data, loaded(x, t).data)
 
 
-def test_resnet_checkpoint_without_statistics_rejected(tmp_path):
-    path = tmp_path / "resnet.ckpt"
-    save_checkpoint(path, _trained_resnet(), train_t=50)
-    # rewrite the header without the statistics' entries, as a checkpoint
-    # that stored parameters only would have it
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header, leaving its arrays as they are."""
     raw = path.read_bytes()
     head_len = int.from_bytes(raw[8:16], "big")
     header = json.loads(raw[16:16 + head_len])
-    header["params"] = [e for e in header["params"] if "running" not in e["name"]]
+    edit(header)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(raw[:8] + len(head).to_bytes(8, "big") + head + raw[16 + head_len:])
+
+
+def test_resnet_checkpoint_without_statistics_rejected(tmp_path):
+    path = tmp_path / "resnet.ckpt"
+    save_checkpoint(path, _trained_resnet())
+
+    def drop_statistics(header):  # as a checkpoint that stored parameters only has it
+        header["params"] = [e for e in header["params"] if "running" not in e["name"]]
+
+    _rewrite_header(path, drop_statistics)
     with pytest.raises(CheckpointError, match="running_mean"):
         load_checkpoint(path)
+
+
+def test_header_dtype_that_disagrees_with_the_config_rejected(tmp_path):
+    path = tmp_path / "mlp.ckpt"
+    save_checkpoint(path, build_denoiser(CONFIGS["mlp"], seed=31))
+    _rewrite_header(path, lambda header: header["config"].update(dtype="float32"))
+    with pytest.raises(CheckpointError, match="stored as float64, config says float32"):
+        load_checkpoint(path)
+
+
+# sha256 (first 16 hex digits) of the imputation below with its steps fed on
+# the 1000-step training axis, captured when impute took that axis by hand
+IMPUTED_ON_THE_TRAINING_AXIS = "0704066e753467f6"
+
+
+def test_trained_network_carries_its_time_axis_through_a_checkpoint(tmp_path):
+    from tabdiffuse.sampling import MaskedTable, SamplerOptions, impute
+    from tabdiffuse.training import TrainingConfig, train
+
+    x = Rng(40).uniform((200, 2))
+    den = build_denoiser(DenoiserConfig(arch="mlp", n_features=2, hidden=8, blocks=1), seed=3)
+    assert den.train_t is None and den.scaler is None and den.feature_names is None
+    train(den, x, TrainingConfig(epochs=1, batch_size=64, t_training=1000, seed=3))
+    assert den.train_t == 1000
+    table = MaskedTable(x[:20], Rng(41).uniform((20, 2)) > 0.3)
+    opts = SamplerOptions(t_sampling=100, tau=10, seed=5)
+    out = impute(den, table, opts)
+    assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == IMPUTED_ON_THE_TRAINING_AXIS
+
+    den.scaler, den.feature_names = MinMaxScaler().fit(x), ("a", "b")
+    save_checkpoint(tmp_path / "mlp.ckpt", den)
+    loaded = load_checkpoint(tmp_path / "mlp.ckpt")[0]
+    assert loaded.train_t == 1000 and loaded.feature_names == ("a", "b")
+    np.testing.assert_array_equal(loaded.scaler.data_min_, den.scaler.data_min_)
+    np.testing.assert_array_equal(loaded.scaler.data_max_, den.scaler.data_max_)
+    assert impute(loaded, table, opts).tobytes() == out.tobytes()

@@ -340,8 +340,29 @@ def test_train_checkpoint_every_writes_interval_files(workdir, tmp_path):
     assert names == ["epoch_0002.ckpt", "epoch_0004.ckpt"]
     from tabdiffuse.checkpoint import load_checkpoint
 
-    den, train_t, _, _, _ = load_checkpoint(tmp_path / "ce" / "epoch_0002.ckpt")
-    assert train_t == 30
+    den = load_checkpoint(tmp_path / "ce" / "epoch_0002.ckpt")[0]
+    assert den.train_t == 30
+
+
+def test_train_prints_one_progress_line_per_epoch(workdir, tmp_path, capsys, monkeypatch):
+    from tabdiffuse import cli
+
+    argv = ["train", "--data", str(workdir / "data.csv"), "--epochs", "3", "--T", "30",
+            "--blocks", "1", "--hidden", "8", "--out"]
+    assert main(argv + [str(tmp_path / "shown")]) == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("[train] epoch ")]
+    assert [l.split(":")[0] for l in lines] == [f"[train] epoch {e}/3" for e in (1, 2, 3)]
+    body = (tmp_path / "shown" / "loss.csv").read_text().splitlines()[4:]  # stamp, header
+    losses = [float(l.split(",")[1]) for l in body]
+    assert [float(l.rsplit(" ", 1)[1]) for l in lines] == pytest.approx(losses, rel=1e-5)
+
+    log = cli._log
+    monkeypatch.setattr(cli, "_log", lambda msg: None if msg.startswith("[train] epoch ")
+                        else log(msg))
+    assert main(argv + [str(tmp_path / "quiet")]) == 0
+    assert "[train] epoch " not in capsys.readouterr().err
+    shown, quiet = ((tmp_path / d / "loss.csv").read_bytes() for d in ("shown", "quiet"))
+    assert shown == quiet
 
 
 def test_benchmark_jobs_pool_matches_serial(workdir, tmp_path):
@@ -593,7 +614,7 @@ def test_config_file_switch_is_honoured(workdir, tmp_path, value, time_embedding
     assert rc == 0
     from tabdiffuse.checkpoint import load_checkpoint
 
-    den, _, _, _, _ = load_checkpoint(tmp_path / "run" / "checkpoint.ckpt")
+    den = load_checkpoint(tmp_path / "run" / "checkpoint.ckpt")[0]
     assert den.config.time_embedding is time_embedding
 
 
@@ -753,13 +774,26 @@ def misfit_tables(workdir):
     (["benchmark", "--methods", "mean", "--grid", "mcar=30", "mcar=0.3"],
      "grid setting 'mcar-0.3' is given more than once"),
     (["benchmark", "--methods", "mean,median,mean"], "method 'mean' is given more than once"),
+    # training and sampler values outside their domain
+    (["train", "--lr", "-0.001"], "lr must be finite and > 0"),
+    (["train", "--lr", "0"], "lr must be finite and > 0"),
+    (["train", "--weight-decay", "-1"], "weight_decay must be finite and >= 0"),
+    (["train", "--weight-decay", "nan"], "weight_decay must be finite and >= 0"),
+    (["train", "--beta-l1", "nan"], "beta_l1 must be finite and > 0"),
+    (["train", "--beta-l1", "inf"], "beta_l1 must be finite and > 0"),
+    (["impute", "--checkpoint", "{work}/run/checkpoint.ckpt", "--mcar", "0.3", "--tau", "5",
+      "--eta", "nan"], "eta must be finite and >= 0"),
+    (["impute", "--checkpoint", "{work}/run/checkpoint.ckpt", "--mcar", "0.3", "--eta", "nan"],
+     "eta must be finite and >= 0"),
 ], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every",
         "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
         "resnet-one-row-tail", "unknown-method", "missing-checkpoint", "non-finite-target",
         "feature-names-differ", "benchmark-mask-hides-nothing", "ablate-mask-hides-nothing",
         "transformer-heads-0", "transformer-embed-dim-0", "unet-heads-0", "unet-channel-0",
         "mlp-hidden-0", "resnet-hidden-0", "two-checkpoints-one-method",
-        "checkpoint-not-in-methods", "grid-setting-twice", "method-twice"])
+        "checkpoint-not-in-methods", "grid-setting-twice", "method-twice", "lr-negative",
+        "lr-0", "weight-decay-negative", "weight-decay-nan", "beta-l1-nan", "beta-l1-inf",
+        "skip-step-eta-nan", "dense-eta-nan"])
 def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys,
                                                      monkeypatch, flags, message):
     """Each of these exits 2 before any output is written: the run leaves no

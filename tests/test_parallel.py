@@ -235,8 +235,8 @@ def test_impute_writes_the_same_bytes_on_one_core_and_on_two(monkeypatch, tmp_pa
     names = ("a", "b", "c", "d")
     write_csv(tmp_path / "data.csv", x, list(names))
     den = build_denoiser(DenoiserConfig(arch="mlp", n_features=4, hidden=32), seed=1)
-    save_checkpoint(tmp_path / "mlp.ckpt", den, train_t=1000, scaler=MinMaxScaler().fit(x),
-                    feature_names=names)
+    den.train_t, den.scaler, den.feature_names = 1000, MinMaxScaler().fit(x), names
+    save_checkpoint(tmp_path / "mlp.ckpt", den)
 
     def imputed(cores):
         monkeypatch.setattr(parallel, "_cores", lambda: cores)

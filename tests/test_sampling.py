@@ -318,10 +318,12 @@ def test_time_axis_rescaling_feeds_training_scale():
     x = Rng(33).uniform((3, 2))
     table = MaskedTable(x, np.array([[1, 0]] * 3, dtype=bool))
     opts = SamplerOptions(t_sampling=50, seed=0)
-    impute(den, table, opts, train_t=1000)
+    den.train_t = 1000
+    impute(den, table, opts)
     assert max(seen) == 1000  # top of the sampling axis maps to the training axis
     seen.clear()
-    impute(den, table, opts, train_t=None)
+    den.train_t = None  # never trained: the sampling step goes in unscaled
+    impute(den, table, opts)
     assert max(seen) == 50
 
 
