@@ -5,15 +5,18 @@ Protocol per (method, mask setting): draw ``n_mask_seeds`` masks
 method); for each mask average ``n_inferences`` independently seeded
 imputations and score that average; report the mean of the per-mask
 scores.  Deterministic imputers are unaffected by the averaging, stochastic
-ones are smoothed by it.  ``average_inferences`` is the package's only loop
-that averages inferences: ``ensemble_eval`` uses it per mask, and the
-``impute`` command uses it on the user's table.  Ranks are computed within
+ones are smoothed by it.  The imputer gets every (mask, seed) walk of a
+setting at once, so a sampler can stack walks, and streams the imputations
+back in walk order.  ``average_inferences`` is the package's only loop that
+averages inferences: ``ensemble_eval`` uses it per mask, and the ``impute``
+command uses it on the user's table.  Ranks are computed within
 each setting (1 = best, ties averaged) and aggregated as mean/std per method
 across settings.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +72,12 @@ class EvalRow:
     pearson: float | None  # None when undefined (zero-variance imputation)
 
 
-def average_inferences(infer, n: int, seed: int) -> np.ndarray:
-    """Mean of ``infer(derive_seed(seed, i))`` over i = 0 .. n-1, summed in
-    index order from zero and then divided by ``n``."""
+def average_inferences(outputs, n: int) -> np.ndarray:
+    """Mean of the next ``n`` imputations of the iterator ``outputs``, summed
+    in order from zero and then divided by ``n``."""
     if n < 1:
         raise ValueError(f"the number of inferences must be >= 1, got {n}")
-    return sum((infer(derive_seed(seed, i)) for i in range(n)), np.zeros(())) / n
+    return sum(itertools.islice(outputs, n), np.zeros(())) / n
 
 
 def draw_masks(spec: MaskSpec, n_rows: int, n_cols: int, n_mask_seeds: int,
@@ -106,8 +109,11 @@ def ensemble_eval(
 ) -> list[EvalRow]:
     """Score one imputer on one mask setting's ``masks`` (``draw_masks``).
 
-    ``impute_fn(x_obs, mask, seed)`` must return a single imputation; the
-    harness averages ``n_inferences`` of them per mask (``average_inferences``)
+    ``impute_fn(walks)`` gets every walk of the setting at once: a list of
+    ``(x_obs, mask, seed)``, ``n_inferences`` per mask in mask order, seeded
+    ``derive_seed(mask_seed, i)``, with ``x_obs`` zeroed at the missing
+    cells.  It returns an iterator of single imputations in walk order; the
+    harness averages each mask's ``n_inferences`` (``average_inferences``)
     before scoring, so the averaging order (average first, then score) is
     owned here.  When ``imputation_sink`` is given, the first mask seed's
     averaged imputation is stored under (method, setting) for downstream
@@ -116,11 +122,13 @@ def ensemble_eval(
     """
     x_true = np.asarray(x_true, dtype=np.float64)
     truth_scored = score_transform(x_true) if score_transform is not None else x_true
+    observed = [(np.where(mask, x_true, 0.0), mask, mask_seed) for mask_seed, mask in masks]
+    outputs = iter(impute_fn([(x_obs, mask, derive_seed(mask_seed, i))
+                              for x_obs, mask, mask_seed in observed
+                              for i in range(n_inferences)]))
     rows: list[EvalRow] = []
-    for s, (mask_seed, mask) in enumerate(masks):
-        x_obs = np.where(mask, x_true, 0.0)
-        avg = average_inferences(lambda seed: impute_fn(x_obs, mask, seed), n_inferences,
-                                 mask_seed)
+    for s, (_, mask) in enumerate(masks):
+        avg = average_inferences(outputs, n_inferences)
         if imputation_sink is not None and s == 0:
             imputation_sink[(method, setting)] = avg
         avg_scored = score_transform(avg) if score_transform is not None else avg

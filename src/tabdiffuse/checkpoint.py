@@ -71,6 +71,10 @@ def load_checkpoint(path):
     header = json.loads(raw[16 : 16 + head_len].decode("utf-8"))
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version")
+    missing = [key for key in ("config", "dtype", "feature_names", "params", "scaler", "train_t")
+               if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
     cfg_dict = dict(header["config"])
     cfg_dict["unet_channels"] = tuple(cfg_dict["unet_channels"])
     config = DenoiserConfig(**cfg_dict)
@@ -88,6 +92,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: unknown array {name!r}")
         n = int(np.prod(shape)) if shape else 1
         buf = body[offset : offset + n * np_dtype.itemsize]
+        if len(buf) < n * np_dtype.itemsize:
+            raise CheckpointError(f"{path}: the file ends inside array {name!r}")
         arr = np.frombuffer(buf, dtype=np_dtype).reshape(shape)
         if by_name[name].shape != arr.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name!r}")

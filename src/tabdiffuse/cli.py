@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import sys
 import time
 import traceback
@@ -36,7 +37,7 @@ from .bench import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import MinMaxScaler, load_csv, read_mask_csv, split, write_rows
 from .denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
-from .parallel import shard_bounds, shard_threads
+from .parallel import shard_bounds, shard_threads, walks_per_batch
 from .rng import derive_seed
 from .sampling import MaskedTable, SamplerOptions, build_plan, impute
 from .tensor import NumericError
@@ -326,6 +327,17 @@ def _make_mask(args, n_rows: int, n_cols: int, seed: int) -> np.ndarray:
     return spec.generate(n_rows, n_cols, derive_seed(seed, _MASK_STREAM))
 
 
+def _impute_walks(denoiser, opts, n_rows, walks):
+    """The imputations of ``walks``, an iterable of (MaskedTable, seed) pairs
+    over ``n_rows``-row tables, in walk order.  ``walks_per_batch`` walks run
+    as one stacked sampler state; ``walks`` is read one batch at a time, so
+    only one batch is alive at once."""
+    walks = iter(walks)
+    k = walks_per_batch(denoiser, n_rows)
+    while batch := list(itertools.islice(walks, k)):
+        yield from impute(denoiser, batch, opts)
+
+
 def cmd_impute(args):
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     denoiser = _load_model(args.checkpoint, ds.feature_names)
@@ -343,16 +355,17 @@ def cmd_impute(args):
 
     scaled = scaler.transform(ds.features) if scaler is not None else ds.features
     table = MaskedTable(scaled, mask)
+    n = args.n_inferences
+    walks = [(table, derive_seed(derive_seed(seed, _SAMPLE_STREAM), i)) for i in range(n)]
     t0 = time.perf_counter()
-    out_scaled = average_inferences(
-        lambda s: impute(denoiser, table, replace(opts, seed=s)),
-        args.n_inferences, derive_seed(seed, _SAMPLE_STREAM))
+    out_scaled = average_inferences(_impute_walks(denoiser, opts, ds.n_rows, walks), n)
     elapsed = time.perf_counter() - t0
     plan = build_plan(opts)
-    n_shards = len(shard_bounds(denoiser, ds.n_rows)) - 1
-    _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {args.n_inferences}, "
-         f"network evaluations: {plan.n_denoise() * args.n_inferences}, "
-         f"wall time: {elapsed:.3f}s, shards: {n_shards}, threads: {shard_threads(n_shards)}")
+    k = walks_per_batch(denoiser, ds.n_rows)
+    n_shards = len(shard_bounds(denoiser, ds.n_rows * min(k, n))) - 1
+    _log(f"[impute] plan steps: {len(plan) - 1}, inferences: {n}, "
+         f"network evaluations: {plan.n_denoise() * -(-n // k)}, wall time: {elapsed:.3f}s, "
+         f"walks per batch: {k}, shards: {n_shards}, threads: {shard_threads(n_shards)}")
 
     out = scaler.inverse_transform(out_scaled) if scaler is not None else out_scaled
     out[mask] = ds.features[mask]  # observations pass through verbatim
@@ -399,28 +412,25 @@ def _reject_repeats(what: str, names) -> None:
             raise UsageError(f"{what} {name!r} is given more than once")
 
 
-def _diffusion_impute_fn(denoiser, opts):
-    """Adapter: one inference of the diffusion imputer, in the checkpoint's
-    model space."""
+def _rescale(x, src, dst):
+    """``x`` from ``src``'s scaled space into ``dst``'s; None is the raw space."""
+    raw = src.inverse_transform(x) if src is not None else x
+    return dst.transform(raw) if dst is not None else raw
 
-    def fn(x_obs, mask, seed):
+
+def _diffusion_impute_fn(denoiser, opts, bench_scaler=None):
+    """Adapter: the diffusion imputer over ``ensemble_eval``'s walks, which are in
+    the checkpoint's model space, or in ``bench_scaler``'s space when given."""
+    ckpt, model_space = denoiser.scaler, bench_scaler is None
+
+    def fn(walks):
         # derive_seed(seed, 0) is the stream earlier versions' one-inference impute drew
-        opts_i = replace(opts, seed=derive_seed(seed, 0))
-        return impute(denoiser, MaskedTable(x_obs, mask), opts_i)
+        tables = ((MaskedTable(x if model_space else _rescale(x, bench_scaler, ckpt), mask),
+                   derive_seed(seed, 0)) for x, mask, seed in walks)
+        for out in _impute_walks(denoiser, opts, len(walks[0][0]), tables):
+            yield out if model_space else _rescale(out, ckpt, bench_scaler)
 
     return fn
-
-
-def _in_bench_space(fn, ckpt_scaler, bench_scaler):
-    """Run a model-space imputer on tables in the benchmark's scaled space."""
-
-    def in_bench_space(x_obs, mask, seed):
-        raw = bench_scaler.inverse_transform(x_obs)
-        out = fn(ckpt_scaler.transform(raw) if ckpt_scaler is not None else raw, mask, seed)
-        back = ckpt_scaler.inverse_transform(out) if ckpt_scaler is not None else out
-        return bench_scaler.transform(back)
-
-    return in_bench_space
 
 
 def cmd_benchmark(args):
@@ -455,13 +465,12 @@ def cmd_benchmark(args):
     impute_fns = {}
     for method in methods:
         if method in BASELINE_KINDS:
-            def fn(x_obs, mask, seed, _kind=method):
-                return baseline_impute(_kind, x_obs, mask, train_scaled)
+            def fn(walks, _kind=method):
+                return (baseline_impute(_kind, x, mask, train_scaled) for x, mask, _ in walks)
             impute_fns[method] = (fn, 1)
         elif method in checkpoints:
             _, denoiser = checkpoints[method]
-            fn = _diffusion_impute_fn(denoiser, opts)
-            impute_fns[method] = (_in_bench_space(fn, denoiser.scaler, bench_scaler),
+            impute_fns[method] = (_diffusion_impute_fn(denoiser, opts, bench_scaler),
                                   args.n_inferences)
         else:
             raise UsageError(

@@ -81,11 +81,15 @@ def load_csv(path, target_column: str | None = None) -> Dataset:
                 raise CsvFormatError(
                     f"{path}: unparseable cell at row {i + 2}, column {header[j]!r}: {cell!r}"
                 ) from None
-    if target_column is None:
-        return Dataset(features=data, feature_names=tuple(header))
-    if target_column not in header:
+    if target_column is not None and target_column not in header:
         raise CsvFormatError(f"{path}: no column named {target_column!r}")
-    ti = header.index(target_column)
+    ti = header.index(target_column) if target_column is not None else None
+    for i, j in np.argwhere(~np.isfinite(data)):
+        if j != ti:  # the target's own check belongs to the command that reads it
+            raise CsvFormatError(f"{path}: non-finite cell at row {i + 2}, column "
+                                 f"{header[j]!r}: {body[i][j]!r}")
+    if ti is None:
+        return Dataset(features=data, feature_names=tuple(header))
     feats = np.delete(data, ti, axis=1)
     names = tuple(h for i, h in enumerate(header) if i != ti)
     target = data[:, ti]

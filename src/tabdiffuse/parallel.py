@@ -113,6 +113,14 @@ def shard_bounds(denoiser, n_rows: int) -> list[int]:
     return [0, *range(rows, n_rows - ROW_ALIGN + 1, rows), n_rows]
 
 
+def walks_per_batch(denoiser, n_rows: int) -> int:
+    """How many sampler walks over ``n_rows`` rows to stack into one state: the
+    fewest whose rows carry ``MIN_SHARD_ELEMENTS // 2`` elements of
+    ``denoiser.row_cost``, so a batch of several walks never carries more
+    hidden state than one shard does."""
+    return max(1, -(-(MIN_SHARD_ELEMENTS // 2) // (n_rows * denoiser.row_cost)))
+
+
 def shard_threads(n_shards: int) -> int:
     """One thread per core, at most one per shard; one if BLAS cannot be pinned."""
     return min(_cores(), n_shards) if numpy_blas() is not None else 1

@@ -4,7 +4,11 @@ Every stochastic component (weight init, noise draws, masks, shuffling,
 dropout) pulls from an explicit :class:`Rng` so that a run is fully
 determined by its seeds.  Bits come from the counter-based Philox 4x64-10
 generator; normal variates are produced by the Box-Muller transform on top
-of those bits.  The same seed yields the same stream on every platform.
+of those bits.  The same seed yields the same uniforms, integers and
+permutations on every platform.  The normals go through ``np.log``,
+``np.cos`` and ``np.sin``, whose last bits follow numpy's SIMD dispatch
+and the C math library, so they repeat only under the same numpy build,
+CPU features and libm.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ on the dense plan, skip-step otherwise), and the two are blended by the
 mask.  Retrace entries in the plan re-noise the whole state forward.  The
 final output carries the raw observed values verbatim at known entries.
 
+Several walks (inferences) over tables of one shape run as one stacked
+state: one network evaluation per step serves them all, and each walk draws
+its noise from its own stream in the order it would alone.
+
 When the network was trained on a longer time axis than the sampler runs
 (e.g. 1000 vs 500), the integer step fed to the network is rescaled by
 T_train / T_sample so the time conditioning stays in distribution; the
@@ -52,7 +56,6 @@ class SamplerOptions:
     eta: float = 0.0
     jump_length: int = 1
     jump_n_sample: int = 1  # retrace depth j; 1 = no retracing
-    seed: int = 0
 
     def __post_init__(self):
         if self.t_sampling < 1:
@@ -204,35 +207,42 @@ def _denoiser_time(t_math: int, sample_t: int, train_t: int | None) -> int:
 
 def impute(
     denoiser: Denoiser,
-    table: MaskedTable,
+    walks,
     opts: SamplerOptions,
     on_step=None,
-) -> np.ndarray:
-    """Fill the unknown region of a scaled table; known entries pass through.
+) -> list[np.ndarray]:
+    """Fill the unknown region of scaled tables; known entries pass through.
 
-    Runs one inference, drawn from ``Rng(opts.seed)``; every known entry of
-    the result equals the observation exactly.  Averaging several seeded
-    inferences is the evaluation protocol's job (``bench.average_inferences``).
-    Each network evaluation runs in row shards (``parallel.sharded_eval``) cut
-    by the network and the row count alone, never by the number of cores.
+    ``walks`` is a sequence of ``(MaskedTable, seed)`` pairs, one inference
+    each, over tables of one shape; they run as one stacked ``(K * n, d)``
+    state, walk k drawing from ``Rng(seed_k)``.  Returns one array per walk,
+    in walk order; every known entry equals its observation exactly.
+    Averaging inferences is the evaluation protocol's job
+    (``bench.average_inferences``).  Each network evaluation runs in row
+    shards (``parallel.sharded_eval``) cut by the network and the stacked row
+    count alone, never by the number of cores.
     """
-    if table.x_obs.shape[1] != denoiser.config.n_features:
-        raise ValueError(
-            f"table has {table.x_obs.shape[1]} features, denoiser expects "
-            f"{denoiser.config.n_features}"
-        )
-    mask = table.mask
-    x0 = np.where(mask, table.x_obs, 0.0)  # placeholders at missing entries are never read
+    tables = [table for table, _ in walks]
+    shape = tables[0].x_obs.shape
+    if {table.x_obs.shape for table in tables} != {(shape[0], denoiser.config.n_features)}:
+        raise ValueError(f"walks need tables of one shape (n, {denoiser.config.n_features}), "
+                         f"got {sorted({table.x_obs.shape for table in tables})}")
+    x_obs = np.concatenate([table.x_obs for table in tables])
+    mask = np.concatenate([table.mask for table in tables])
+    x0 = np.where(mask, x_obs, 0.0)  # placeholders at missing entries are never read
     sched = build_cosine_schedule(opts.t_sampling)
     plan = build_plan(opts)
-    rng = Rng(opts.seed)
-    shape = x0.shape
-    n = shape[0]
+    rngs = [Rng(seed) for _, seed in walks]
+
+    def normal():  # one draw per walk, each from its own stream
+        return np.concatenate([rng.normal(shape) for rng in rngs])
+
+    n = len(x0)
     dense = opts.tau is None
     top = plan.ts[0]
-    # Fixed draw order per step keeps the noise stream identical across
-    # stepper variants: known-region noise first, then the step noise.
-    x = combine(noisy_known(sched, x0, top + 1, rng.normal(shape)), rng.normal(shape), mask)
+    # Fixed draw order per step keeps each walk's noise stream identical across
+    # stepper variants and stackings: known-region noise first, then the step noise.
+    x = combine(noisy_known(sched, x0, top + 1, normal()), normal(), mask)
     if on_step is not None:
         on_step(top, x)
     # 2 MB, allocated and freed at once: glibc's malloc then serves smaller
@@ -244,8 +254,8 @@ def impute(
     with sharded_eval(denoiser, n) as evaluate:
         for a, b in plan.pairs():
             if b < a:  # denoising step from level a+1 down to level b+1
-                eps_known = rng.normal(shape)
-                step_noise = rng.normal(shape)
+                eps_known = normal()
+                step_noise = normal()
                 t_math = a + 1
                 eps_hat = evaluate(x, np.full(n, _denoiser_time(t_math, sched.T, train_t)))
                 if dense:
@@ -257,7 +267,7 @@ def impute(
                 known = noisy_known(sched, x0, b + 1, eps_known)
                 x = combine(known, unknown, mask)
             else:  # retrace: re-noise the whole state from level a+1 up to b+1
-                x = harmonize_jump(sched, x, a + 1, b + 1, rng.normal(shape))
+                x = harmonize_jump(sched, x, a + 1, b + 1, normal())
             if on_step is not None:
                 on_step(b, x)
-    return np.where(mask, table.x_obs, x)
+    return np.split(np.where(mask, x_obs, x), len(tables))

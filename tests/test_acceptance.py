@@ -7,7 +7,6 @@ per session; every number here is deterministic given the frozen seeds.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,14 +166,14 @@ def test_criterion_2b_full_trajectories_agree():
     m = Rng(30).uniform((5, 2)) > 0.5
     table = MaskedTable(x, m)
     T = 500
-    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2, seed=11)
+    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2)
     states = {}
     for key, opts in (
         ("ddpm", SamplerOptions(**base)),
         ("ddim", SamplerOptions(tau=T, eta=1.0, **base)),
     ):
         captured = []
-        impute(den, table, opts, on_step=lambda t, s: captured.append(s.copy()))
+        impute(den, [(table, 11)], opts, on_step=lambda t, s: captured.append(s.copy()))
         states[key] = captured
     assert len(states["ddpm"]) == len(states["ddim"])
     worst = max(float(np.max(np.abs(a - b)))
@@ -236,8 +235,8 @@ def test_criterion_3_known_region_exact_on_100_masks():
             else:
                 mask = gen_mar_mask(40, 6, p, mask_seed)
             table = MaskedTable(x, mask)
-            opts = SamplerOptions(t_sampling=25, jump_n_sample=2, seed=mask_seed)
-            out = impute(den, table, opts)
+            opts = SamplerOptions(t_sampling=25, jump_n_sample=2)
+            out = impute(den, [(table, mask_seed)], opts)[0]
             np.testing.assert_array_equal(out[mask], x[mask])
             checked += 1
     assert checked >= 100
@@ -269,12 +268,12 @@ def test_criterion_5_beats_mean_imputation(benchmark_model):
     assert bm["train_seconds"] < 300.0, f"training took {bm['train_seconds']:.0f}s"
     assert bm["history"][-1] < bm["history"][0]
 
-    def diff_fn(x_obs, mask, seed):
-        return impute(bm["denoiser"], MaskedTable(x_obs, mask),
-                      SamplerOptions(t_sampling=500, seed=derive_seed(seed, 0)))
+    def diff_fn(walks):
+        return (impute(bm["denoiser"], [(MaskedTable(x_obs, mask), derive_seed(seed, 0))],
+                       SamplerOptions(t_sampling=500))[0] for x_obs, mask, seed in walks)
 
-    def mean_fn(x_obs, mask, seed):
-        return baseline_impute("mean", x_obs, mask, bm["train_s"])
+    def mean_fn(walks):
+        return (baseline_impute("mean", x_obs, mask, bm["train_s"]) for x_obs, mask, _ in walks)
 
     masks = draw_masks(MaskSpec("mcar", p_random=0.3), *bm["test_s"].shape, n_mask_seeds=5,
                        base_seed=42)
@@ -298,9 +297,8 @@ def _sweep_mse(bm, tau, jump_n_sample, mask_seed, eta, n_inferences=5):
     table = MaskedTable(np.where(mask, test_s, 0.0), mask)
     opts = SamplerOptions(t_sampling=500, tau=tau, jump_length=1,
                           jump_n_sample=jump_n_sample, eta=eta)
-    avg = average_inferences(
-        lambda s: impute(bm["denoiser"], table, replace(opts, seed=derive_seed(s, 0))),
-        n_inferences, mask_seed)
+    walks = [(table, derive_seed(derive_seed(mask_seed, i), 0)) for i in range(n_inferences)]
+    avg = average_inferences(iter(impute(bm["denoiser"], walks, opts)), n_inferences)
     d = test_s[~mask] - avg[~mask]
     return float(np.mean(d * d))
 

@@ -200,8 +200,8 @@ def test_trained_network_carries_its_time_axis_through_a_checkpoint(tmp_path):
     train(den, x, TrainingConfig(epochs=1, batch_size=64, t_training=1000, seed=3))
     assert den.train_t == 1000
     table = MaskedTable(x[:20], Rng(41).uniform((20, 2)) > 0.3)
-    opts = SamplerOptions(t_sampling=100, tau=10, seed=5)
-    out = impute(den, table, opts)
+    opts = SamplerOptions(t_sampling=100, tau=10)
+    out = impute(den, [(table, 5)], opts)[0]
     assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == IMPUTED_ON_THE_TRAINING_AXIS
 
     den.scaler, den.feature_names = MinMaxScaler().fit(x), ("a", "b")
@@ -210,4 +210,34 @@ def test_trained_network_carries_its_time_axis_through_a_checkpoint(tmp_path):
     assert loaded.train_t == 1000 and loaded.feature_names == ("a", "b")
     np.testing.assert_array_equal(loaded.scaler.data_min_, den.scaler.data_min_)
     np.testing.assert_array_equal(loaded.scaler.data_max_, den.scaler.data_max_)
-    assert impute(loaded, table, opts).tobytes() == out.tobytes()
+    assert impute(loaded, [(table, 5)], opts)[0].tobytes() == out.tobytes()
+
+
+def _impute_from(tmp_path, path):
+    """Run ``impute`` on a 3-feature table with the checkpoint at ``path``."""
+    from tabdiffuse.cli import main
+    from tabdiffuse.data import write_csv
+
+    write_csv(tmp_path / "data.csv", Rng(6).uniform((20, 3)), ["a", "b", "c"])
+    return main(["impute", "--checkpoint", str(path), "--data", str(tmp_path / "data.csv"),
+                 "--mcar", "0.3", "--T-sampling", "10", "--n-inferences", "1",
+                 "--out", str(tmp_path / "out" / "imputed.csv")])
+
+
+@pytest.mark.parametrize("key", ["config", "dtype", "params", "scaler", "train_t"])
+def test_header_missing_a_key_exits_2_naming_the_file_and_key(tmp_path, capsys, key):
+    path = tmp_path / "mlp.ckpt"
+    save_checkpoint(path, build_denoiser(CONFIGS["mlp"], seed=31))
+    _rewrite_header(path, lambda header: header.pop(key))
+    assert _impute_from(tmp_path, path) == 2
+    assert f"{path}: header lacks {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_short_body_exits_2_naming_the_file_and_array(tmp_path, capsys):
+    path = tmp_path / "mlp.ckpt"
+    save_checkpoint(path, build_denoiser(CONFIGS["mlp"], seed=31))
+    path.write_bytes(path.read_bytes()[:-40])
+    assert _impute_from(tmp_path, path) == 2
+    assert f"{path}: the file ends inside array 'head.weight'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

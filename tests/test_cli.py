@@ -104,6 +104,31 @@ def test_impute_reports_network_evaluations(workdir, tmp_path, capsys, monkeypat
     assert len(calls) == 37
 
 
+def test_impute_reports_the_evaluations_of_stacked_walks(workdir, tmp_path, capsys,
+                                                          monkeypatch):
+    from tabdiffuse.denoisers import Denoiser
+
+    calls = []
+    forward = Denoiser.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Denoiser, "__call__", counted)
+    rc = main([
+        "impute", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+        "--data", str(workdir / "data.csv"), "--mcar", "0.3", "--T-sampling", "30",
+        "--n-inferences", "3", "--seed", "1", "--out", str(tmp_path / "n.csv"),
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    # hidden 12 on 400 rows: 7 walks make half a shard, so the 3 inferences are one batch
+    assert "inferences: 3, network evaluations: 30, wall time" in err
+    assert "walks per batch: 7," in err
+    assert calls == [1200] * 30
+
+
 def test_impute_known_entries_pass_through(workdir, tmp_path):
     mask_path = tmp_path / "mask.csv"
     mask = Rng(3).uniform((400, 2)) > 0.4
@@ -850,3 +875,14 @@ def test_benchmark_jobs_2_with_a_sharded_transformer_matches_jobs_1(tmp_path, mo
     assert bench_rows("jobs2", "2") == serial
     monkeypatch.setattr(parallel, "_cores", lambda: 1)
     assert bench_rows("one-thread", "2") == serial
+
+
+def test_non_finite_cell_names_file_row_and_column(workdir, tmp_path, capsys):
+    lines = (workdir / "data.csv").read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + ",nan"  # the third data row
+    data = tmp_path / "nan.csv"
+    data.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{data}: non-finite cell at row 4, column 'f2': 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

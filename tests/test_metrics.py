@@ -158,10 +158,11 @@ def test_mask_spec_validation_and_labels():
 def test_ensemble_eval_deterministic_imputer_ignores_n_inferences():
     x = Rng(0).uniform((40, 3))
 
-    def mean_imputer(x_obs, mask, seed):
-        out = x_obs.copy()
-        out[~mask] = 0.5
-        return out
+    def mean_imputer(walks):
+        for x_obs, mask, _ in walks:
+            out = x_obs.copy()
+            out[~mask] = 0.5
+            yield out
 
     masks = draw_masks(MaskSpec("mcar", p_random=0.4), 40, 3, n_mask_seeds=3, base_seed=0)
     rows1 = ensemble_eval(mean_imputer, "mean", x, "mcar-0.4", masks, n_inferences=1)
@@ -176,11 +177,12 @@ def test_ensemble_eval_average_then_score_hand_case():
 
     calls = {"n": 0}
 
-    def flip_imputer(x_obs, mask, seed):
-        out = x_obs.copy()
-        out[~mask] = float(calls["n"] % 2)
-        calls["n"] += 1
-        return out
+    def flip_imputer(walks):
+        for x_obs, mask, _ in walks:
+            out = x_obs.copy()
+            out[~mask] = float(calls["n"] % 2)
+            calls["n"] += 1
+            yield out
 
     class OneCell(MaskSpec):
         pass
@@ -198,35 +200,42 @@ def test_ensemble_eval_average_then_score_hand_case():
 
 
 def test_average_inferences_sums_the_derived_streams_in_order():
+    x = np.array([[0.2, 0.4], [0.6, 0.8]])
+    masks = draw_masks(MaskSpec("mcar", p_random=0.5), 2, 2, n_mask_seeds=2, base_seed=17)
     seen = []
 
-    def infer(seed):
-        seen.append(seed)
-        return np.full((2, 3), float(len(seen)))
+    def infer(walks):  # every walk of the setting arrives at once, in mask-then-stream order
+        seen.extend(seed for _, _, seed in walks)
+        return (np.full((2, 2), float(k + 1)) for k in range(len(walks)))
 
-    out = average_inferences(infer, 4, seed=17)
-    assert seen == [derive_seed(17, i) for i in range(4)]
+    sink = {}
+    ensemble_eval(infer, "m", x, "mcar-0.5", masks, n_inferences=4, imputation_sink=sink)
+    assert seen == [derive_seed(mask_seed, i) for mask_seed, _ in masks for i in range(4)]
+    np.testing.assert_array_equal(sink[("m", "mcar-0.5")], np.full((2, 2), 10.0 / 4))
+    outputs = iter([np.full((2, 3), float(k)) for k in range(1, 9)])
+    out = average_inferences(outputs, 4)
     np.testing.assert_array_equal(out, np.full((2, 3), (1.0 + 2.0 + 3.0 + 4.0) / 4))
+    assert next(outputs)[0, 0] == 5.0  # the next mask's imputations are left unread
     # summed from a float64 zero, so a float32 imputer is averaged in float64
     one = np.float32(0.1)
-    avg = average_inferences(lambda s: np.full(2, one), 3, seed=0)
+    avg = average_inferences(iter([np.full(2, one)] * 3), 3)
     assert avg.dtype == np.float64
     np.testing.assert_array_equal(avg, (0.0 + float(one) + float(one) + float(one)) / 3)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_average_inferences_rejects_fewer_than_one(n):
-    calls = []
+    outputs = iter([np.zeros(2)])
     with pytest.raises(ValueError, match="inferences"):
-        average_inferences(lambda s: calls.append(s), n, seed=0)
-    assert calls == []
+        average_inferences(outputs, n)
+    assert len(list(outputs)) == 1
 
 
 def test_ensemble_eval_rejects_fewer_than_one_mask_seed():
     x = Rng(2).uniform((10, 2))
     calls = []
     with pytest.raises(ValueError, match="mask seeds"):
-        ensemble_eval(lambda x_obs, mask, seed: calls.append(seed), "id", x, "mcar-0.5",
+        ensemble_eval(lambda walks: calls.extend(walks), "id", x, "mcar-0.5",
                       draw_masks(MaskSpec("mcar", p_random=0.5), 10, 2, n_mask_seeds=0,
                                  base_seed=0))
     assert calls == []
@@ -250,11 +259,12 @@ def test_ensemble_eval_mask_seeds_differ():
     x = Rng(1).uniform((30, 4))
     seen = []
 
-    def spy(x_obs, mask, seed):
-        seen.append(mask.copy())
-        out = x_obs.copy()
-        out[~mask] = 0.0
-        return out
+    def spy(walks):
+        for x_obs, mask, _ in walks:
+            seen.append(mask.copy())
+            out = x_obs.copy()
+            out[~mask] = 0.0
+            yield out
 
     ensemble_eval(spy, "spy", x, "mcar-0.5",
                   draw_masks(MaskSpec("mcar", p_random=0.5), 30, 4, n_mask_seeds=3, base_seed=0),

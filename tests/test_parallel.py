@@ -135,14 +135,14 @@ def _impute_big_transformer(table_rows=64, **opts):
     den = build_denoiser(DenoiserConfig(arch="transformer", n_features=10, blocks=1), seed=2)
     rng = Rng(5)
     table = MaskedTable(rng.uniform((table_rows, 10)), rng.uniform((table_rows, 10)) > 0.3)
-    return den, table, SamplerOptions(t_sampling=20, tau=3, seed=9, **opts)
+    return den, [(table, 9)], SamplerOptions(t_sampling=20, tau=3, **opts)
 
 
 def test_blas_threads_restored_after_impute(monkeypatch, blas):
     monkeypatch.setattr(parallel, "_cores", lambda: 2)
-    den, table, opts = _impute_big_transformer()
+    den, walks, opts = _impute_big_transformer()
     seen = []
-    impute(den, table, opts, on_step=lambda level, x: seen.append(blas.get()))
+    impute(den, walks, opts, on_step=lambda level, x: seen.append(blas.get()))
     assert _n_shards(den, 64) == 2
     assert set(seen[1:]) == {1}  # pinned from the first network evaluation on
     assert blas.get() == 2
@@ -150,7 +150,7 @@ def test_blas_threads_restored_after_impute(monkeypatch, blas):
 
 def test_blas_threads_restored_after_a_shard_raises(monkeypatch, blas):
     monkeypatch.setattr(parallel, "_cores", lambda: 2)
-    den, table, opts = _impute_big_transformer()
+    den, walks, opts = _impute_big_transformer()
     forward = type(den).forward
 
     def failing(self, x, t, training=False, rng=None):
@@ -160,7 +160,7 @@ def test_blas_threads_restored_after_a_shard_raises(monkeypatch, blas):
 
     monkeypatch.setattr(type(den), "forward", failing)
     with pytest.raises(NumericError):
-        impute(den, table, opts)
+        impute(den, walks, opts)
     assert blas.get() == 2
 
 
@@ -213,8 +213,8 @@ def test_missing_openblas_runs_the_same_shards_on_one_thread_with_the_same_bytes
     assert parallel.find_openblas([]) is None
     assert parallel.find_openblas(["no-such-library.so"]) is None
     monkeypatch.setattr(parallel, "_cores", lambda: 2)
-    den, table, opts = _impute_big_transformer()
-    threaded = impute(den, table, opts)
+    den, walks, opts = _impute_big_transformer()
+    threaded = impute(den, walks, opts)[0]
     monkeypatch.setattr(parallel, "numpy_blas", lambda: None)
     forward, calls = type(den).forward, []
 
@@ -223,7 +223,7 @@ def test_missing_openblas_runs_the_same_shards_on_one_thread_with_the_same_bytes
         return forward(self, x, t, training, rng)
 
     monkeypatch.setattr(type(den), "forward", recorded)
-    np.testing.assert_array_equal(impute(den, table, opts), threaded)
+    np.testing.assert_array_equal(impute(den, walks, opts)[0], threaded)
     assert _n_shards(den, 64) == 2
     assert calls and set(calls) == {(32, True)}
 
@@ -247,3 +247,18 @@ def test_impute_writes_the_same_bytes_on_one_core_and_on_two(monkeypatch, tmp_pa
         return out.read_bytes()
 
     assert imputed(1) == imputed(2)
+
+
+def test_walks_per_batch_stacks_half_a_shard():
+    grid_mlp = build_denoiser(DenoiserConfig(arch="mlp", n_features=4), seed=0)
+    big = build_denoiser(DenoiserConfig(arch="transformer", n_features=10), seed=0)
+    assert parallel.walks_per_batch(grid_mlp, 400) == 3  # 1200 rows of hidden 32
+    assert parallel.walks_per_batch(big, 128) == 1  # 128 rows of (10 + 1) * 192 >= 2**15
+    half = parallel.MIN_SHARD_ELEMENTS // 2
+    for row_cost in (1, 7, 32, 100, 2112):
+        for n_rows in (1, 2, 3, 8, 13, 37, 100, 400, 1000, 4096, 40000):
+            k = parallel.walks_per_batch(_RowCost(row_cost), n_rows)
+            assert (k == 1) == (n_rows * row_cost >= half)
+            if k > 1:  # the fewest walks that reach half a shard, never more than a shard
+                assert (k - 1) * n_rows * row_cost < half <= k * n_rows * row_cost
+                assert k * n_rows * row_cost <= parallel.MIN_SHARD_ELEMENTS

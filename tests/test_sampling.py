@@ -1,6 +1,4 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -225,8 +223,8 @@ def test_impute_all_known_returns_observations():
     den = tiny_denoiser()
     x = Rng(21).uniform((6, 2))
     table = MaskedTable(x, np.ones((6, 2), dtype=bool))
-    opts = SamplerOptions(t_sampling=20, seed=3)
-    np.testing.assert_array_equal(impute(den, table, opts), x)
+    opts = SamplerOptions(t_sampling=20)
+    np.testing.assert_array_equal(impute(den, [(table, 3)], opts)[0], x)
 
 
 def test_impute_deterministic_given_seed():
@@ -234,8 +232,9 @@ def test_impute_deterministic_given_seed():
     x = Rng(22).uniform((5, 2))
     m = Rng(23).uniform((5, 2)) > 0.4
     table = MaskedTable(x, m)
-    opts = SamplerOptions(t_sampling=25, seed=9)
-    np.testing.assert_array_equal(impute(den, table, opts), impute(den, table, opts))
+    opts = SamplerOptions(t_sampling=25)
+    np.testing.assert_array_equal(impute(den, [(table, 9)], opts)[0],
+                                  impute(den, [(table, 9)], opts)[0])
 
 
 def test_impute_known_entries_exact_and_placeholders_ignored():
@@ -245,8 +244,8 @@ def test_impute_known_entries_exact_and_placeholders_ignored():
     x_with_nan = x.copy()
     x_with_nan[~m] = np.nan  # placeholders must never be read
     table = MaskedTable(x_with_nan, m)
-    opts = SamplerOptions(t_sampling=30, seed=1)
-    out = impute(den, table, opts)
+    opts = SamplerOptions(t_sampling=30)
+    out = impute(den, [(table, 1)], opts)[0]
     np.testing.assert_array_equal(out[m], x[m])
     assert np.all(np.isfinite(out))
 
@@ -256,8 +255,8 @@ def test_impute_untrained_net_stays_bounded():
     x = Rng(26).normal((20, 2))  # standardized-ish data
     m = Rng(27).uniform((20, 2)) > 0.5
     table = MaskedTable(x, m)
-    opts = SamplerOptions(t_sampling=200, seed=4)
-    out = impute(den, table, opts)
+    opts = SamplerOptions(t_sampling=200)
+    out = impute(den, [(table, 4)], opts)[0]
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out) <= 10.0)
 
@@ -267,9 +266,9 @@ def test_impute_visits_exactly_the_plan():
     x = Rng(28).uniform((4, 2))
     m = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=bool)
     table = MaskedTable(x, m)
-    opts = SamplerOptions(t_sampling=40, tau=8, jump_length=1, jump_n_sample=3, seed=2)
+    opts = SamplerOptions(t_sampling=40, tau=8, jump_length=1, jump_n_sample=3)
     visited = []
-    impute(den, table, opts, on_step=lambda t, state: visited.append(t))
+    impute(den, [(table, 2)], opts, on_step=lambda t, state: visited.append(t))
     assert visited == build_plan(opts).ts
 
 
@@ -279,12 +278,12 @@ def test_dense_ddim_eta1_trajectory_matches_ddpm():
     m = Rng(30).uniform((5, 2)) > 0.5
     table = MaskedTable(x, m)
     T = 60
-    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2, seed=11)
+    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2)
     opts_ddpm = SamplerOptions(**base)  # tau None -> ancestral steps
     opts_ddim = SamplerOptions(tau=T, eta=1.0, **base)  # same dense plan via skip steps
     states_a, states_b = [], []
-    impute(den, table, opts_ddpm, on_step=lambda t, s: states_a.append(s.copy()))
-    impute(den, table, opts_ddim, on_step=lambda t, s: states_b.append(s.copy()))
+    impute(den, [(table, 11)], opts_ddpm, on_step=lambda t, s: states_a.append(s.copy()))
+    impute(den, [(table, 11)], opts_ddim, on_step=lambda t, s: states_b.append(s.copy()))
     assert len(states_a) == len(states_b)
     for sa, sb in zip(states_a, states_b):
         assert np.max(np.abs(sa - sb)) <= 1e-8
@@ -296,12 +295,44 @@ def test_ensemble_mean_is_arithmetic_mean_of_streams():
     m = Rng(32).uniform((4, 2)) > 0.5
     table = MaskedTable(x, m)
     opts = SamplerOptions(t_sampling=15)
-    out = average_inferences(lambda s: impute(den, table, replace(opts, seed=s)), 3, 21)
-    singles = [impute(den, table, replace(opts, seed=derive_seed(21, i))) for i in range(3)]
+    walks = [(table, derive_seed(21, i)) for i in range(3)]
+    out = average_inferences(iter(impute(den, walks, opts)), 3)
+    singles = [impute(den, [walk], opts)[0] for walk in walks]
     assert not np.array_equal(singles[0], singles[1])  # the streams differ
     manual = np.mean(singles, axis=0)
     assert np.max(np.abs(out - manual)) <= 1e-12
     np.testing.assert_array_equal(singles[0][m], x[m])
+
+
+STACKED = {  # (config, rows per walk); the MLP case is the benchmark's grid-mlp shape
+    "mlp": (DenoiserConfig(arch="mlp", n_features=4), 400),
+    "resnet": (DenoiserConfig(arch="resnet", n_features=4, hidden=16, blocks=2), 37),
+    "transformer": (DenoiserConfig(arch="transformer", n_features=4, embed_dim=16, heads=2,
+                                   blocks=1), 13),
+    "unet": (DenoiserConfig(arch="unet", n_features=8, unet_channels=(4, 8),
+                            groupnorm_groups=2, heads=2), 13),
+}
+
+
+@pytest.mark.parametrize("arch", sorted(STACKED))
+def test_stacked_walks_match_separate_walks(arch):
+    cfg, n = STACKED[arch]
+    den = build_denoiser(cfg, seed=1)
+    rng = Rng(40)
+    walks = [(MaskedTable(rng.uniform((n, cfg.n_features)),
+                          rng.uniform((n, cfg.n_features)) > 0.3), derive_seed(8, i))
+             for i in range(3)]  # the grid-mlp batch: walks_per_batch(den, 400) == 3
+    opts = SamplerOptions(t_sampling=20, jump_n_sample=2)  # retraces draw noise too
+    stacked = impute(den, walks, opts)
+    assert [out.tobytes() for out in impute(den, walks, opts)] == [
+        out.tobytes() for out in stacked]
+    for out, walk in zip(stacked, walks, strict=True):
+        alone = impute(den, [walk], opts)[0]
+        if arch == "mlp":  # stacking moves no row across an 8-row block of OpenBLAS
+            np.testing.assert_array_equal(out, alone)
+        else:
+            np.testing.assert_allclose(out, alone, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out[walk[0].mask], walk[0].x_obs[walk[0].mask])
 
 
 def test_time_axis_rescaling_feeds_training_scale():
@@ -317,13 +348,13 @@ def test_time_axis_rescaling_feeds_training_scale():
     den.forward = spy
     x = Rng(33).uniform((3, 2))
     table = MaskedTable(x, np.array([[1, 0]] * 3, dtype=bool))
-    opts = SamplerOptions(t_sampling=50, seed=0)
+    opts = SamplerOptions(t_sampling=50)
     den.train_t = 1000
-    impute(den, table, opts)
+    impute(den, [(table, 0)], opts)
     assert max(seen) == 1000  # top of the sampling axis maps to the training axis
     seen.clear()
     den.train_t = None  # never trained: the sampling step goes in unscaled
-    impute(den, table, opts)
+    impute(den, [(table, 0)], opts)
     assert max(seen) == 50
 
 
@@ -331,7 +362,7 @@ def test_feature_count_mismatch_rejected():
     den = tiny_denoiser()
     table = MaskedTable(np.ones((3, 4)), np.ones((3, 4), dtype=bool))
     with pytest.raises(ValueError):
-        impute(den, table, SamplerOptions(t_sampling=10))
+        impute(den, [(table, 0)], SamplerOptions(t_sampling=10))
 
 
 def test_dense_quad_subset_rejected_with_clear_message():
@@ -339,7 +370,7 @@ def test_dense_quad_subset_rejected_with_clear_message():
     table = MaskedTable(np.ones((3, 2)), np.ones((3, 2), dtype=bool))
     opts = SamplerOptions(t_sampling=500, tau=400, skip_type="quad")
     with pytest.raises(ValueError, match="strictly ascending"):
-        impute(den, table, opts)
+        impute(den, [(table, 0)], opts)
 
 
 from hypothesis import given, settings

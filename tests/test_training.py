@@ -198,7 +198,7 @@ def test_float32_training_and_sampling_smoke():
     history = train(den, data, TrainingConfig(epochs=1, batch_size=64, t_training=30))
     assert np.isfinite(history[0])
     table = MaskedTable(data[:16], Rng(1).uniform((16, 2)) > 0.5)
-    out = impute(den, table, SamplerOptions(t_sampling=10))
+    out = impute(den, [(table, 0)], SamplerOptions(t_sampling=10))[0]
     assert np.all(np.isfinite(out))
 
 
@@ -219,7 +219,7 @@ def test_threaded_impute_then_train_updates_every_weight():
     table = MaskedTable(data[:32], Rng(3).uniform((32, 2)) > 0.3)
 
     def run(i):
-        return impute(reader, table, SamplerOptions(t_sampling=20, seed=i))
+        return impute(reader, [(table, i)], SamplerOptions(t_sampling=20))
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         futures = [pool.submit(run, i) for i in range(8)]
