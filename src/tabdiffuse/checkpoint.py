@@ -2,17 +2,18 @@
 
 Layout: 8-byte magic, big-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then the raw parameters and buffers (batch-norm running
-statistics) concatenated in header order (C-contiguous, little-endian).  The
-header carries the architecture config, array names and shapes, and what the
-network carries beside its weights: its training time-axis length
-(``train_t``), its data ``scaler`` and its ``feature_names``.  So a
-checkpoint alone reconstructs a working imputer.  Identical inputs produce
-identical bytes.
+statistics) concatenated in header order (C-contiguous, little-endian), with
+nothing between or after them.  The header carries the architecture config,
+array names and shapes, and what the network carries beside its weights: its
+training time-axis length (``train_t``), its data ``scaler`` and its
+``feature_names``.  So a checkpoint alone reconstructs a working imputer.
+Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,6 +31,8 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, denoiser: Denoiser, meta: dict | None = None) -> None:
+    if denoiser.scaler is not None and not denoiser.scaler.fitted:
+        raise CheckpointError(f"{path}: the network's scaler is not fitted")
     entries = []
     offset = 0
     blobs = []
@@ -61,6 +64,19 @@ def save_checkpoint(path, denoiser: Denoiser, meta: dict | None = None) -> None:
             fh.write(raw)
 
 
+def _scaler(path, value, n_features: int) -> MinMaxScaler | None:
+    """The header's ``scaler``: null, or data_min and data_max of n_features finite values."""
+    if value is None:
+        return None
+    if not (isinstance(value, dict) and sorted(value) == ["data_max", "data_min"]
+            and all(isinstance(arr, list) and len(arr) == n_features
+                    and all(type(v) in (int, float) and math.isfinite(v) for v in arr)
+                    for arr in value.values())):
+        raise CheckpointError(f"{path}: scaler must be null or hold data_min and data_max, "
+                              f"{n_features} finite values each")
+    return MinMaxScaler.from_dict(value)
+
+
 def load_checkpoint(path):
     """Returns (denoiser, meta); the denoiser carries its ``train_t``,
     ``scaler`` and ``feature_names``."""
@@ -68,42 +84,60 @@ def load_checkpoint(path):
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     head_len = int.from_bytes(raw[8:16], "big")
-    header = json.loads(raw[16 : 16 + head_len].decode("utf-8"))
+    if 16 + head_len > len(raw):
+        raise CheckpointError(f"{path}: the header length runs past the end of the file")
+    try:
+        header = json.loads(raw[16 : 16 + head_len].decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"{path}: cannot decode the header: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: the header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version")
     missing = [key for key in ("config", "dtype", "feature_names", "params", "scaler", "train_t")
                if key not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
-    cfg_dict = dict(header["config"])
-    cfg_dict["unet_channels"] = tuple(cfg_dict["unet_channels"])
-    config = DenoiserConfig(**cfg_dict)
+    try:
+        cfg_dict = dict(header["config"])
+        cfg_dict["unet_channels"] = tuple(cfg_dict["unet_channels"])
+        config = DenoiserConfig(**cfg_dict)
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: bad config: {err}") from None
+    train_t = header["train_t"]
+    if train_t is not None and (isinstance(train_t, bool) or not isinstance(train_t, int)
+                                or train_t < 1):
+        raise CheckpointError(f"{path}: train_t must be an int >= 1 or null, got {train_t!r}")
+    scaler = _scaler(path, header["scaler"], config.n_features)
     if header["dtype"] != config.dtype:
         raise CheckpointError(f"{path}: arrays stored as {header['dtype']}, config says "
                               f"{config.dtype}")
     denoiser = build_denoiser(config, seed=None)  # draws nothing: every weight is read below
     body = memoryview(raw)[16 + head_len :]  # a view: the weights are copied once, below
     np_dtype = np.dtype(config.dtype).newbyteorder("<")
-    seen = set()
     by_name = dict(denoiser.named_arrays())
+    missing = sorted(set(by_name) - {entry["name"] for entry in header["params"]})
+    if missing:
+        raise CheckpointError(f"{path}: missing arrays {missing}")
+    end = 0  # the arrays lie back to back in header order and fill the body
     for entry in header["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         if name not in by_name:
             raise CheckpointError(f"{path}: unknown array {name!r}")
-        n = int(np.prod(shape)) if shape else 1
-        buf = body[offset : offset + n * np_dtype.itemsize]
-        if len(buf) < n * np_dtype.itemsize:
+        if offset != end:
+            raise CheckpointError(f"{path}: array {name!r} starts at byte {offset} of the body, "
+                                  f"not where the array before it ends ({end})")
+        end += math.prod(shape) * np_dtype.itemsize
+        if end > len(body):
             raise CheckpointError(f"{path}: the file ends inside array {name!r}")
-        arr = np.frombuffer(buf, dtype=np_dtype).reshape(shape)
+        arr = np.frombuffer(body[offset:end], dtype=np_dtype).reshape(shape)
         if by_name[name].shape != arr.shape:
             raise CheckpointError(f"{path}: shape mismatch for {name!r}")
         np.copyto(by_name[name], arr)
-        seen.add(name)
-    missing = sorted(set(by_name) - seen)
-    if missing:
-        raise CheckpointError(f"{path}: missing arrays {missing}")
-    denoiser.train_t = header["train_t"]
-    denoiser.scaler = MinMaxScaler.from_dict(header["scaler"]) if header["scaler"] else None
+    if len(body) != end:
+        raise CheckpointError(f"{path}: {len(body) - end} bytes follow the last array")
+    denoiser.train_t = train_t
+    denoiser.scaler = scaler
     names = header["feature_names"]
     denoiser.feature_names = tuple(names) if names else None
     return denoiser, header.get("meta", {})

@@ -31,7 +31,8 @@ from .nn import (
     apply_film,
 )
 from .rng import Rng
-from .tensor import Tensor, concat, parameter, reglu_film, relu, reshape, silu, transpose
+from .tensor import (Tensor, concat, linear_film_relu, parameter, reglu_film, relu, reshape, silu,
+                     transpose)
 
 ARCHITECTURES = ("mlp", "resnet", "transformer", "unet")
 
@@ -58,13 +59,14 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.n_features < 1:
-            raise ValueError("n_features must be >= 1")
-        if self.blocks < 1:
-            raise ValueError("blocks must be >= 1")
-        sizes = [("hidden", self.resolved_hidden), ("embed_dim", self.embed_dim),
-                 ("heads", self.heads), ("groupnorm_groups", self.groupnorm_groups)]
+        sizes = [("n_features", self.n_features), ("blocks", self.blocks),
+                 ("embed_dim", self.embed_dim), ("heads", self.heads),
+                 ("groupnorm_groups", self.groupnorm_groups)]
+        if self.hidden is not None:  # else 8 * n_features
+            sizes.append(("hidden", self.hidden))
         for name, size in sizes + [("every unet_channels entry", c) for c in self.unet_channels]:
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise ValueError(f"{name} must be an int, got {size!r}")
             if size < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("attention_dropout", "ffn_dropout", "residual_dropout"):
@@ -142,7 +144,13 @@ def film_pair(tokenizer: TimeStepTokenizer, t: np.ndarray) -> tuple[Tensor, Tens
 
 
 class TimeStepMLPBlock(Module):
-    """Dropout(ReLU(FiLM(Linear(x)))) with the modulation from the tokenizer."""
+    """Dropout(ReLU(FiLM(Linear(x)))) with the modulation from the tokenizer.
+
+    Linear, FiLM and ReLU are one ``linear_film_relu`` node.  ``scale + 1``
+    stays a node of its own: the gradient shares of the blocks then reach the
+    tokenizer in the order they did when FiLM was composed, so trained
+    weights keep their bits.
+    """
 
     def __init__(self, in_dim: int, width: int, drop: float, rng: Rng | None):
         super().__init__()
@@ -150,8 +158,8 @@ class TimeStepMLPBlock(Module):
         self.dropout = Dropout(drop)
 
     def forward(self, x, scale, shift, training, rng):
-        h = apply_film(self.linear(x), scale, shift)
-        return self.dropout(relu(h), training, rng)
+        h = linear_film_relu(x, self.linear.weight, self.linear.bias, scale + 1.0, shift)
+        return self.dropout(h, training, rng)
 
     __call__ = forward
 

@@ -13,6 +13,8 @@ CPU features and libm.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -52,10 +54,10 @@ class Rng:
 
     def normal(self, shape=()) -> np.ndarray:
         """I.i.d. standard normal draws via Box-Muller."""
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         m = (n + 1) // 2
-        u1 = self.uniform((m,))
-        u2 = self.uniform((m,))
+        u = self.uniform((2 * m,))  # the uniforms of two calls of length m
+        u1, u2 = u[:m], u[m:]
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.empty(2 * m)
         z[0::2] = r * np.cos(2.0 * np.pi * u2)

@@ -480,6 +480,46 @@ def reglu_film(u, scale, shift) -> Tensor:
     return Tensor._from_op(data, (u, scale, shift), backward, "reglu_film")
 
 
+def linear_film_relu(x, weight, bias, scale1, shift) -> Tensor:
+    """relu((x @ weight + bias) * scale1 + shift), the time-modulated MLP block, as one node.
+
+    ``scale1`` and ``shift`` broadcast against the (rows, out) result.  The
+    arithmetic order is the composed chain's, so the forward values are the
+    same bits; with grad off it all runs in the GEMM's buffer.  One check of
+    the pre-ReLU buffer catches what the per-op checks did: a product or sum
+    of finite operands keeps a non-finite value non-finite, while relu(-inf)
+    would be 0.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    scale1, shift = _like(scale1, x), _like(shift, x)
+    width = weight.shape[1]
+    if scale1.shape[-1] != width or shift.shape[-1] != width:
+        raise ValueError(f"modulation dim {scale1.shape[-1]} does not match features {width}")
+    params = (x, weight, bias, scale1, shift)
+    keep = _grad_enabled.get() and any(p.requires_grad for p in params)
+    x2 = x.data.reshape(-1, weight.shape[0])
+    h = x2 @ weight.data
+    h += bias.data
+    h = h.reshape(*x.shape[:-1], width)
+    pre = np.empty_like(h) if keep else h  # the scale gradient needs h
+    np.multiply(h, scale1.data, out=pre)
+    pre += shift.data
+    _check_finite(pre, "linear_film_relu")
+    data = np.maximum(pre, 0.0, out=pre)
+
+    def backward(g, _x2=x2, _h=h, _out=data):
+        gp = g * (_out > 0.0)
+        gh = gp * scale1.data
+        g2 = gh.reshape(-1, width)
+        return ((g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None,
+                _x2.T @ g2 if weight.requires_grad else None,
+                g2.sum(axis=0) if bias.requires_grad else None,
+                _unbroadcast(gp * _h, scale1.shape) if scale1.requires_grad else None,
+                _unbroadcast(gp, shift.shape) if shift.requires_grad else None)
+
+    return Tensor._from_op(data, params, backward, "linear_film_relu")
+
+
 # -- reductions and shape ops ----------------------------------------------------
 
 

@@ -241,3 +241,47 @@ def test_short_body_exits_2_naming_the_file_and_array(tmp_path, capsys):
     assert _impute_from(tmp_path, path) == 2
     assert f"{path}: the file ends inside array 'head.weight'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _set_header_length(path, head_len):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + head_len.to_bytes(8, "big") + raw[16:])
+
+
+# each leaves a checkpoint that used to load (or crash with a TypeError) and
+# must now exit 2 naming the file and what is wrong with it
+CORRUPTIONS = {
+    "trailing_bytes": (lambda p: p.write_bytes(p.read_bytes() + bytes(16)),
+                       "16 bytes follow the last array"),
+    "moved_offset": (lambda p: _rewrite_header(p, lambda h: h["params"][1].update(offset=0)),
+                     "array 'tokenizer.lin1.bias' starts at byte 0"),
+    "short_scaler": (lambda p: _rewrite_header(p, lambda h: h.update(
+        scaler={"data_min": [0.0], "data_max": [1.0]})), "scaler must be null or hold"),
+    "train_t_string": (lambda p: _rewrite_header(p, lambda h: h.update(train_t="x")),
+                       "train_t must be an int >= 1 or null, got 'x'"),
+    "blocks_null": (lambda p: _rewrite_header(p, lambda h: h["config"].update(blocks=None)),
+                    "blocks must be an int, got None"),
+    "header_past_the_end": (lambda p: _set_header_length(p, p.stat().st_size),
+                            "the header length runs past the end of the file"),
+}
+
+
+def test_unfitted_scaler_is_not_saved(tmp_path):
+    # the reader takes a scaler only as one finite value per feature and array
+    den = build_denoiser(CONFIGS["mlp"], seed=31)
+    den.scaler = MinMaxScaler()
+    with pytest.raises(CheckpointError, match="scaler is not fitted"):
+        save_checkpoint(tmp_path / "mlp.ckpt", den)
+    assert not (tmp_path / "mlp.ckpt").exists()
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_malformed_checkpoint_exits_2_naming_the_file(tmp_path, capsys, case):
+    corrupt, message = CORRUPTIONS[case]
+    path = tmp_path / "mlp.ckpt"
+    save_checkpoint(path, build_denoiser(CONFIGS["mlp"], seed=31))
+    corrupt(path)
+    assert _impute_from(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+    assert not (tmp_path / "out").exists()

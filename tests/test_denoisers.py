@@ -161,6 +161,14 @@ def test_unet_minimum_features():
         DenoiserConfig(arch="unet", n_features=3)
 
 
+@pytest.mark.parametrize("field, value", [("n_features", 3.0), ("blocks", True),
+                                          ("hidden", 2.5), ("heads", None),
+                                          ("unet_channels", (16, False))])
+def test_config_sizes_must_be_ints(field, value):
+    with pytest.raises(ValueError, match="must be an int"):
+        DenoiserConfig(**{"arch": "mlp", "n_features": 3, field: value})
+
+
 def test_unknown_architecture_rejected():
     with pytest.raises(ValueError):
         DenoiserConfig(arch="vae", n_features=3)

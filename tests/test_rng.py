@@ -50,3 +50,26 @@ def test_derive_seed_path_sensitivity():
 @pytest.mark.parametrize("n", [1, 2, 3, 17])
 def test_normal_odd_sizes(n):
     assert Rng(9).normal((n,)).shape == (n,)
+
+
+def _two_call_box_muller(gen, shape):
+    """The normal stream as Rng drew it with one uniform call per Box-Muller half."""
+    n = int(np.prod(shape)) if shape else 1
+    m = (n + 1) // 2
+    u1 = 1.0 - gen.random(size=(m,))
+    u2 = 1.0 - gen.random(size=(m,))
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * m)
+    z[0::2] = r * np.cos(2.0 * np.pi * u2)
+    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return z[:n].reshape(shape) if shape else float(z[0])
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (400, 4), (3, 5, 2)])
+def test_normal_is_the_two_call_box_muller_stream(shape):
+    for seed in [*range(50), derive_seed(1, 2), (1 << 64) - 1]:
+        rng, gen = Rng(seed), np.random.Generator(np.random.Philox(key=seed))
+        for _ in range(2):  # the second draw starts where the first left the stream
+            ours, ref = rng.normal(shape), _two_call_box_muller(gen, shape)
+            assert type(ours) is type(ref)
+            assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()

@@ -10,7 +10,7 @@ import pytest
 from conftest import check_gradients
 from tabdiffuse import nn
 from tabdiffuse import tensor as T
-from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
+from tabdiffuse.denoisers import DenoiserConfig, TimeStepMLPBlock, build_denoiser
 from tabdiffuse.optim import smooth_l1
 from tabdiffuse.rng import Rng
 from tabdiffuse.tensor import NumericError, Tensor, parameter
@@ -236,6 +236,10 @@ def _reglu_film_ref(u, scale, shift):
     return u[:, :, :h] * T.relu(u[:, :, h:]) * (scale + 1.0) + shift
 
 
+def _linear_film_relu_ref(x, w, b, scale, shift):
+    return T.relu(nn.apply_film(T.linear(x, w, b), scale, shift))
+
+
 def _attention_args(rng, B=3, n=4, d=6):
     """x, then (weight, bias) for q, k, v and the output projection."""
     args = [rng.normal(size=(B, n, d))]
@@ -308,6 +312,24 @@ def test_reglu_film_rejects_mismatched_modulation():
         T.reglu_film(np.zeros((1, 2, 8)), np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
 
 
+def test_linear_film_relu_kernel_gradients():
+    # a per-row modulation, scaled so that some pre-activations are negative
+    rng = np.random.default_rng(18)
+    x = parameter(rng.normal(size=(5, 3)))
+    w = parameter(rng.normal(size=(3, 4)) * 0.5)
+    b = parameter(rng.normal(size=(4,)) * 0.5)
+    scale1 = parameter(rng.normal(size=(5, 4)))
+    shift = parameter(rng.normal(size=(5, 4)) * 0.5)
+    check_gradients(lambda: (T.linear_film_relu(x, w, b, scale1, shift) ** 2.0).mean(),
+                    [x, w, b, scale1, shift])
+
+
+def test_linear_film_relu_rejects_mismatched_modulation():
+    with pytest.raises(ValueError, match="modulation dim"):
+        T.linear_film_relu(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4), np.ones((1, 5)),
+                           np.zeros((1, 5)))
+
+
 def test_layer_norm_forward_is_bitwise_the_composed_chain():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(3.0, 2.0, size=(16, 11, 24)))
@@ -343,6 +365,48 @@ def test_reglu_film_forward_is_bitwise_the_composed_chain():
         shift = Tensor(rng.normal(size=(lead, 1, 256)))
         np.testing.assert_array_equal(T.reglu_film(u, scale, shift).data,
                                       _reglu_film_ref(u, scale, shift).data)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("grad", [False, True], ids=["in_place", "recorded"])
+def test_linear_film_relu_forward_is_bitwise_the_composed_chain(dtype, grad):
+    # the MLP block's shape: 1200 rows, width 32
+    rng = np.random.default_rng(19)
+    make = parameter if grad else Tensor
+    x, w, b = (make(rng.normal(size=s).astype(dtype)) for s in ((1200, 32), (32, 32), (32,)))
+    for lead in (1, 1200):  # one shared time step, or one per row
+        scale, shift = (make(rng.normal(size=(lead, 32)).astype(dtype)) for _ in range(2))
+        out = T.linear_film_relu(x, w, b, scale + 1.0, shift)
+        assert out.dtype == dtype and out.requires_grad == grad
+        np.testing.assert_array_equal(out.data, _linear_film_relu_ref(x, w, b, scale, shift).data)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "resnet"])
+def test_mlp_block_training_step_matches_the_composed_chain(monkeypatch, arch):
+    # every gradient share reaches the tokenizer in the composed chain's order,
+    # and dropout draws its mask where it did, so trained weights keep their bits
+    cfg = DenoiserConfig(arch=arch, n_features=5, hidden=12, blocks=3, ffn_dropout=0.3)
+    x = np.random.default_rng(15).normal(size=(8, 5))
+    t = np.arange(1, 9)
+    target = Tensor(np.random.default_rng(16).normal(size=(8, 5)))
+
+    def step():
+        den, rng = build_denoiser(cfg, seed=3), Rng(17)
+        smooth_l1(den(x, t, training=True, rng=rng), target).backward()
+        return [(name, p.grad) for name, p in den.named_parameters()], rng.uniform((4,))
+
+    grads, after = step()
+
+    def composed(self, a, scale, shift, training, rng):
+        h = _linear_film_relu_ref(a, self.linear.weight, self.linear.bias, scale, shift)
+        return self.dropout(h, training, rng)
+
+    monkeypatch.setattr(TimeStepMLPBlock, "__call__", composed)
+    ref_grads, ref_after = step()
+    np.testing.assert_array_equal(after, ref_after)
+    assert [name for name, _ in grads] == [name for name, _ in ref_grads]
+    for (name, g), (_, ref) in zip(grads, ref_grads):
+        assert g.tobytes() == ref.tobytes(), name
 
 
 def test_transformer_training_step_matches_composed_attention(monkeypatch):
@@ -397,7 +461,7 @@ def test_conv1d_forward_matches_einsum(kernel):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("op", ["linear", "layer_norm", "conv1d", "group_norm", "attention",
-                                "reglu_film"])
+                                "reglu_film", "linear_film_relu"])
 def test_fused_ops_reject_nonfinite_output(op):
     big = 1e308
     # attention: q and k are finite (1e200), their scores overflow
@@ -414,6 +478,10 @@ def test_fused_ops_reject_nonfinite_output(op):
                                          eye, zero, eye, zero, 1),
         "reglu_film": lambda: T.reglu_film(np.full((1, 2, 4), 1e200), np.zeros((1, 1, 2)),
                                            np.zeros((1, 1, 2))),
+        # -inf before the ReLU, which would turn it into 0
+        "linear_film_relu": lambda: T.linear_film_relu(np.full((2, 3), big),
+                                                       np.full((3, 2), -big), np.zeros(2),
+                                                       np.ones((1, 2)), np.zeros((1, 2))),
     }[op]
     with pytest.raises(NumericError, match=op):
         call()
