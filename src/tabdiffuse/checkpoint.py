@@ -77,6 +77,24 @@ def _scaler(path, value, n_features: int) -> MinMaxScaler | None:
     return MinMaxScaler.from_dict(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _params(path, value) -> list[tuple[str, tuple[int, ...], int]]:
+    """The header's ``params``: (name, shape, offset) of each array, in body order."""
+    if not isinstance(value, list):
+        raise CheckpointError(f"{path}: params must be a list, got {value!r}")
+    for i, entry in enumerate(value):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_is_int(n) and n >= 0 for n in entry["shape"])
+                and _is_int(entry.get("offset"))):
+            raise CheckpointError(f"{path}: params[{i}] must hold a str name, a shape of "
+                                  f"ints >= 0 and an int offset, got {entry!r}")
+    return [(entry["name"], tuple(entry["shape"]), entry["offset"]) for entry in value]
+
+
 def load_checkpoint(path):
     """Returns (denoiser, meta); the denoiser carries its ``train_t``,
     ``scaler`` and ``feature_names``."""
@@ -105,10 +123,18 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: bad config: {err}") from None
     train_t = header["train_t"]
-    if train_t is not None and (isinstance(train_t, bool) or not isinstance(train_t, int)
-                                or train_t < 1):
+    if train_t is not None and not (_is_int(train_t) and train_t >= 1):
         raise CheckpointError(f"{path}: train_t must be an int >= 1 or null, got {train_t!r}")
     scaler = _scaler(path, header["scaler"], config.n_features)
+    names = header["feature_names"]
+    if names is not None and not (isinstance(names, list) and len(names) == config.n_features
+                                  and all(isinstance(name, str) for name in names)):
+        raise CheckpointError(f"{path}: feature_names must be null or {config.n_features} "
+                              f"strings, got {names!r}")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta must be an object, got {meta!r}")
+    params = _params(path, header["params"])
     if header["dtype"] != config.dtype:
         raise CheckpointError(f"{path}: arrays stored as {header['dtype']}, config says "
                               f"{config.dtype}")
@@ -116,12 +142,11 @@ def load_checkpoint(path):
     body = memoryview(raw)[16 + head_len :]  # a view: the weights are copied once, below
     np_dtype = np.dtype(config.dtype).newbyteorder("<")
     by_name = dict(denoiser.named_arrays())
-    missing = sorted(set(by_name) - {entry["name"] for entry in header["params"]})
+    missing = sorted(set(by_name) - {name for name, _, _ in params})
     if missing:
         raise CheckpointError(f"{path}: missing arrays {missing}")
     end = 0  # the arrays lie back to back in header order and fill the body
-    for entry in header["params"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+    for name, shape, offset in params:
         if name not in by_name:
             raise CheckpointError(f"{path}: unknown array {name!r}")
         if offset != end:
@@ -138,6 +163,5 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: {len(body) - end} bytes follow the last array")
     denoiser.train_t = train_t
     denoiser.scaler = scaler
-    names = header["feature_names"]
-    denoiser.feature_names = tuple(names) if names else None
-    return denoiser, header.get("meta", {})
+    denoiser.feature_names = tuple(names) if names is not None else None
+    return denoiser, meta

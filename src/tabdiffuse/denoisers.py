@@ -12,6 +12,7 @@ for the U-Net), so it is a derived quantity rather than a free knob.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ from .tensor import (Tensor, concat, linear_film_relu, parameter, reglu_film, re
                      transpose)
 
 ARCHITECTURES = ("mlp", "resnet", "transformer", "unet")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,14 @@ class DenoiserConfig:
             if size < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("attention_dropout", "ffn_dropout", "residual_dropout"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
+            rate = getattr(self, name)
+            if not (_is_real(rate) and 0.0 <= rate < 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1), got {rate!r}")
+        if not (_is_real(self.ffn_factor) and math.isfinite(self.ffn_factor)
+                and self.ffn_factor > 0):
+            raise ValueError(f"ffn_factor must be a finite number > 0, got {self.ffn_factor!r}")
+        if not isinstance(self.time_embedding, bool):
+            raise ValueError(f"time_embedding must be a bool, got {self.time_embedding!r}")
         if self.arch == "transformer" and self.embed_dim % self.heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
         if self.arch == "unet":

@@ -39,6 +39,7 @@ from .schedule import (
     harmonization_plan,
     skip_seq,
 )
+from .tensor import keep_heap_mapped
 
 
 # Clean-state clamp applied inside every reverse step of ``impute``; keeps the
@@ -245,11 +246,7 @@ def impute(
     x = combine(noisy_known(sched, x0, top + 1, normal()), normal(), mask)
     if on_step is not None:
         on_step(top, x)
-    # 2 MB, allocated and freed at once: glibc's malloc then serves smaller
-    # arrays from its heap and gives heap pages back only past 4 MB free, so
-    # the loop's short-lived arrays stop faulting fresh pages in on every
-    # step.  Until some large array has been freed, it trims past 128 kB.
-    np.empty(1 << 18)
+    keep_heap_mapped(2 << 20)
     train_t = denoiser.train_t
     with sharded_eval(denoiser, n) as evaluate:
         for a, b in plan.pairs():

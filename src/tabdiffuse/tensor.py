@@ -40,6 +40,22 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def keep_heap_mapped(nbytes: int) -> None:
+    """Let a loop reuse the heap pages its short-lived arrays free.
+
+    ``nbytes``, allocated and freed at once: glibc's malloc serves a block
+    that large by mmap, and freeing it raises malloc's mmap threshold to
+    ``nbytes`` and its trim threshold to twice that (for blocks up to 32 MB;
+    a larger one changes nothing).  malloc then serves smaller arrays from
+    its heap and gives heap pages back only past 2 * ``nbytes`` free, so the
+    loop's short-lived arrays stop faulting fresh pages in on every step.
+    Until some large array has been freed, it trims past 128 kB.  A smaller
+    call never lowers the thresholds, and under another allocator this is
+    one untouched allocation.
+    """
+    np.empty(nbytes, dtype=np.uint8)
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by '{op}'")
@@ -54,6 +70,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _walked(g: np.ndarray):
+    raise RuntimeError("backward() through a graph that an earlier backward() freed")
 
 
 class Tensor:
@@ -132,8 +152,14 @@ class Tensor:
         parent that needs none.  This walk is the only place that routes
         them: a leaf accumulates its share at once, and the shares of an
         intermediate node are summed in ``grads``, in the order they arrive,
-        until the walk reaches it.  All of it is local, so backward passes in
-        different threads share nothing.
+        until the walk reaches it.  All of it is local to one graph, so
+        backward passes over different graphs, in any threads, share nothing.
+
+        The walk consumes the graph: once a node's shares are routed, it drops
+        its parents and its backward closure, so the arrays that closure saved
+        are released as the walk passes and nothing of the graph outlives the
+        call.  A later backward() that reaches a walked node raises
+        ``RuntimeError``.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -155,7 +181,8 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node))
             if node._backward is None:  # a leaf called backward() on itself
                 node._accumulate(g)
@@ -168,6 +195,8 @@ class Tensor:
                 else:
                     cur = grads.get(id(p))
                     grads[id(p)] = pg if cur is None else cur + pg
+            # Not None, which would read as a leaf: a walked node stays an op node.
+            node._parents, node._backward = (), _walked
 
     # -- operators ------------------------------------------------------------
 

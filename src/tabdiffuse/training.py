@@ -18,7 +18,7 @@ from .nn import BatchSizeError
 from .optim import AdamW, smooth_l1
 from .rng import Rng
 from .schedule import DiffusionSchedule, build_cosine_schedule
-from .tensor import NumericError, Tensor
+from .tensor import NumericError, Tensor, keep_heap_mapped
 
 
 class TrainingDiverged(RuntimeError):
@@ -99,6 +99,10 @@ def train(
     opt = AdamW(dict(denoiser.named_parameters()), lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[float] = []
     step = 0
+    # Under glibc's 32 MB cap: backward() frees each step's graph, and the next
+    # step rebuilds it in the same pages.  At 16 MB a 10-feature transformer
+    # (about 70 MB of graph a step) still faulted them in anew every step.
+    keep_heap_mapped(31 << 20)
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         batch_losses: list[float] = []

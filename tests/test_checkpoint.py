@@ -263,6 +263,25 @@ CORRUPTIONS = {
                     "blocks must be an int, got None"),
     "header_past_the_end": (lambda p: _set_header_length(p, p.stat().st_size),
                             "the header length runs past the end of the file"),
+    "params_int": (lambda p: _rewrite_header(p, lambda h: h.update(params=12345)),
+                   "params must be a list, got 12345"),
+    "shape_string": (lambda p: _rewrite_header(p, lambda h: h["params"][0].update(shape="ab")),
+                     "params[0] must hold a str name, a shape of ints >= 0 and an int offset"),
+    "feature_names_int": (lambda p: _rewrite_header(p, lambda h: h.update(feature_names=5)),
+                          "feature_names must be null or 3 strings, got 5"),
+    "feature_names_short": (lambda p: _rewrite_header(p, lambda h: h.update(feature_names=["a"])),
+                            "feature_names must be null or 3 strings, got ['a']"),
+    "meta_list": (lambda p: _rewrite_header(p, lambda h: h.update(meta=[1])),
+                  "meta must be an object, got [1]"),
+    "time_embedding_string": (lambda p: _rewrite_header(
+        p, lambda h: h["config"].update(time_embedding="x")),
+        "bad config: time_embedding must be a bool, got 'x'"),
+    "ffn_factor_string": (lambda p: _rewrite_header(p, lambda h: h["config"].update(ffn_factor="x")),
+                          "bad config: ffn_factor must be a finite number > 0, got 'x'"),
+    "ffn_factor_zero": (lambda p: _rewrite_header(p, lambda h: h["config"].update(ffn_factor=0)),
+                        "bad config: ffn_factor must be a finite number > 0, got 0"),
+    "dropout_bool": (lambda p: _rewrite_header(p, lambda h: h["config"].update(ffn_dropout=True)),
+                     "bad config: ffn_dropout must be a number in [0, 1), got True"),
 }
 
 

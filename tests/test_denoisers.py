@@ -169,6 +169,16 @@ def test_config_sizes_must_be_ints(field, value):
         DenoiserConfig(**{"arch": "mlp", "n_features": 3, field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time_embedding", "x"), ("time_embedding", 1),
+    ("ffn_factor", "x"), ("ffn_factor", 0), ("ffn_factor", float("inf")), ("ffn_factor", True),
+    ("attention_dropout", "x"), ("ffn_dropout", False), ("residual_dropout", float("nan")),
+])
+def test_config_switches_and_rates_are_typed(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a"):
+        DenoiserConfig(**{"arch": "transformer", "n_features": 3, field: value})
+
+
 def test_unknown_architecture_rejected():
     with pytest.raises(ValueError):
         DenoiserConfig(arch="vae", n_features=3)

@@ -173,6 +173,40 @@ def test_backward_requires_scalar():
         (p * 2.0).backward()
 
 
+# -- backward() consumes the graph it walks -------------------------------------------
+
+
+def test_second_backward_raises():
+    p = parameter(np.array([1.0, 2.0]))
+    loss = (p * p).sum()
+    loss.backward()
+    assert loss._parents == ()
+    with pytest.raises(RuntimeError, match="earlier backward"):
+        loss.backward()
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+
+
+def test_backward_through_a_walked_intermediate_raises():
+    p = parameter(np.array([1.0, 2.0]))
+    h = p * 2.0
+    h.sum().backward()
+    assert h._parents == () and h.requires_grad
+    with pytest.raises(RuntimeError, match="earlier backward"):
+        (h * 3.0).sum().backward()
+    np.testing.assert_array_equal(p.grad, [2.0, 2.0])
+
+
+def test_backward_releases_the_arrays_the_graph_saved():
+    x = np.linspace(0.5, 1.5, 4)
+    free = sys.getrefcount(x)
+    p = parameter(np.ones(4))
+    loss = T.exp(p * x).sum()
+    assert sys.getrefcount(x) > free  # the product's backward saved x
+    loss.backward()
+    assert sys.getrefcount(x) == free
+    np.testing.assert_allclose(p.grad, x * np.exp(x))
+
+
 def test_no_grad_suppresses_graph():
     p = parameter(np.ones(3))
     with T.no_grad():

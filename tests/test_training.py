@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tabdiffuse import training
 from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
 from tabdiffuse.nn import BatchSizeError
 from tabdiffuse.rng import Rng
@@ -246,3 +249,32 @@ def test_disabled_tokenizer_alone_without_gradients_is_not_an_error():
     train(den, data, TrainingConfig(epochs=1, batch_size=64, t_training=50))
     unchanged = {n for n, p in den.named_parameters() if np.array_equal(p.data, before[n])}
     assert unchanged == {n for n in before if n.startswith("tokenizer.")}
+
+
+# -- a training step holds one graph ----------------------------------------------------
+
+
+def test_training_steps_hold_one_graph(monkeypatch):
+    """backward() frees each step's graph, so no step builds its graph while
+    the one before is alive: every step peaks like the first, and what is
+    still allocated between steps is the optimizer's state, not a graph."""
+    # the heap helper's one transient block would otherwise set the first peak
+    monkeypatch.setattr(training, "keep_heap_mapped", lambda nbytes: None)
+    den = build_denoiser(DenoiserConfig(arch="unet", n_features=10), seed=0)
+    data = np.random.default_rng(0).uniform(size=(256, 10))
+    peaks, held = [], []
+
+    def on_batch(step, t, loss):
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        held.append(current)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        train(den, data, TrainingConfig(epochs=1, batch_size=64, seed=1), on_batch=on_batch)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks[1:]) < 1.2 * peaks[0], [p / 2**20 for p in peaks]
+    assert max(held) < 0.25 * peaks[0], [h / 2**20 for h in held]
