@@ -15,6 +15,13 @@ setting, a ``benchmark`` with a regression ``--target``, and all three
 ``ablate`` presets.  It writes 62 files.  Each line of the manifest is
 ``<sha256>  <path relative to OUT>``, so two manifests diff line for line.
 
+The first line records what the bytes depend on besides the code: numpy's
+version, the kernel family its bundled OpenBLAS picked for this CPU, and the
+SIMD targets numpy dispatches to on this host, for example
+``# numpy 2.4.6; OpenBLAS core SkylakeX; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR``.
+Output bytes repeat only where all three agree; two manifests from one host
+have the same first line.
+
 The commands run through whichever ``tabdiffuse`` is importable, so the same
 script checks two versions of the package for byte-identical outputs:
 
@@ -102,6 +109,22 @@ def commands(out: Path) -> list[list[str]]:
     ]
 
 
+def environment() -> str:
+    """The manifest's first line: numpy's version, OpenBLAS kernel and SIMD targets."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    from tabdiffuse.parallel import numpy_blas
+
+    blas = numpy_blas()
+    # a tabdiffuse from before BlasThreads.corename reads as unknown
+    core = getattr(blas, "corename", lambda: None)() if blas is not None else None
+    simd = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return (f"# numpy {np.__version__}; OpenBLAS core {core or 'unknown'}; "
+            f"SIMD {' '.join(simd) or 'baseline only'}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="empty or new directory for the outputs")
@@ -134,6 +157,7 @@ def main() -> int:
         if rc != 0:
             print(f"exit {rc}: tabdiffuse {' '.join(argv)}", file=sys.stderr)
             return rc
+    print(environment())
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from .denoisers import Denoiser, DenoiserConfig, build_denoiser
 
 MAGIC = b"TDCK0001"
 FORMAT_VERSION = 1
+HEADER_KEYS = frozenset({"config", "dtype", "feature_names", "format_version", "meta",
+                         "params", "scaler", "train_t"})
 
 
 class CheckpointError(ValueError):
@@ -31,18 +34,21 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, denoiser: Denoiser, meta: dict | None = None) -> None:
+    """Write ``denoiser`` (its weights, buffers, ``train_t``, ``scaler`` and
+    ``feature_names``) and ``meta`` to ``path``.
+
+    The offsets come from the shapes, and each array is written straight from
+    its own buffer, so saving holds no second copy of the weights.
+    """
     if denoiser.scaler is not None and not denoiser.scaler.fitted:
         raise CheckpointError(f"{path}: the network's scaler is not fitted")
+    np_dtype = np.dtype(denoiser.config.dtype).newbyteorder("<")
+    arrays = list(denoiser.named_arrays())
     entries = []
     offset = 0
-    blobs = []
-    for name, array in denoiser.named_arrays():
-        blob = np.ascontiguousarray(array, dtype=denoiser.config.dtype)
-        blob = blob.astype("<" + blob.dtype.str[1:], copy=False)
-        raw = blob.tobytes()
+    for name, array in arrays:
         entries.append({"name": name, "shape": list(array.shape), "offset": offset})
-        offset += len(raw)
-        blobs.append(raw)
+        offset += array.size * np_dtype.itemsize
     scaler, names = denoiser.scaler, denoiser.feature_names
     header = {
         "format_version": FORMAT_VERSION,
@@ -60,20 +66,22 @@ def save_checkpoint(path, denoiser: Denoiser, meta: dict | None = None) -> None:
         fh.write(MAGIC)
         fh.write(len(head).to_bytes(8, "big"))
         fh.write(head)
-        for raw in blobs:
-            fh.write(raw)
+        for _, array in arrays:  # a copy only where an array is not C-contiguous little-endian
+            fh.write(np.ascontiguousarray(array, dtype=np_dtype))
 
 
 def _scaler(path, value, n_features: int) -> MinMaxScaler | None:
-    """The header's ``scaler``: null, or data_min and data_max of n_features finite values."""
+    """The header's ``scaler``: null, or data_min and data_max of n_features finite
+    values, each min at most its max."""
     if value is None:
         return None
     if not (isinstance(value, dict) and sorted(value) == ["data_max", "data_min"]
             and all(isinstance(arr, list) and len(arr) == n_features
                     and all(type(v) in (int, float) and math.isfinite(v) for v in arr)
-                    for arr in value.values())):
+                    for arr in value.values())
+            and all(lo <= hi for lo, hi in zip(value["data_min"], value["data_max"]))):
         raise CheckpointError(f"{path}: scaler must be null or hold data_min and data_max, "
-                              f"{n_features} finite values each")
+                              f"{n_features} finite values each, each min at most its max")
     return MinMaxScaler.from_dict(value)
 
 
@@ -85,6 +93,7 @@ def _params(path, value) -> list[tuple[str, tuple[int, ...], int]]:
     """The header's ``params``: (name, shape, offset) of each array, in body order."""
     if not isinstance(value, list):
         raise CheckpointError(f"{path}: params must be a list, got {value!r}")
+    seen = set()
     for i, entry in enumerate(value):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
@@ -92,35 +101,62 @@ def _params(path, value) -> list[tuple[str, tuple[int, ...], int]]:
                 and _is_int(entry.get("offset"))):
             raise CheckpointError(f"{path}: params[{i}] must hold a str name, a shape of "
                                   f"ints >= 0 and an int offset, got {entry!r}")
+        unknown = sorted(set(entry) - {"name", "shape", "offset"})
+        if unknown:
+            raise CheckpointError(f"{path}: params[{i}] has unknown keys {', '.join(unknown)}")
+        if entry["name"] in seen:
+            raise CheckpointError(f"{path}: params lists array {entry['name']!r} twice")
+        seen.add(entry["name"])
     return [(entry["name"], tuple(entry["shape"]), entry["offset"]) for entry in value]
 
 
 def load_checkpoint(path):
     """Returns (denoiser, meta); the denoiser carries its ``train_t``,
-    ``scaler`` and ``feature_names``."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    head_len = int.from_bytes(raw[8:16], "big")
-    if 16 + head_len > len(raw):
-        raise CheckpointError(f"{path}: the header length runs past the end of the file")
+    ``scaler`` and ``feature_names``.
+
+    The whole header is checked before any array is read.  Each array is then
+    read from the file straight into the network's own parameter or buffer, so
+    loading holds one copy of the weights.
+    """
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if preamble[:8] != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        head_len = int.from_bytes(preamble[8:16], "big")
+        if 16 + head_len > size or len(head := fh.read(head_len)) != head_len:
+            raise CheckpointError(f"{path}: the header length runs past the end of the file")
+        denoiser, params, meta = _from_header(path, head)
+        _read_arrays(path, fh, size - 16 - head_len, denoiser, params)
+    return denoiser, meta
+
+
+def _from_header(path, head: bytes) -> tuple[Denoiser, list, dict]:
+    """The network the header describes (its arrays still zero), its params and meta."""
     try:
-        header = json.loads(raw[16 : 16 + head_len].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"{path}: cannot decode the header: {err}") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: the header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
+    version = header.get("format_version")
+    if not (_is_int(version) and version == FORMAT_VERSION):
         raise CheckpointError(f"{path}: unsupported format version")
-    missing = [key for key in ("config", "dtype", "feature_names", "params", "scaler", "train_t")
-               if key not in header]
+    missing = sorted(HEADER_KEYS - {"meta"} - set(header))
     if missing:
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    unknown = sorted(set(header) - HEADER_KEYS)
+    if unknown:
+        raise CheckpointError(f"{path}: header has unknown keys {', '.join(unknown)}")
+    cfg_dict = header["config"]
+    if not isinstance(cfg_dict, dict):
+        raise CheckpointError(f"{path}: config must be an object, got {cfg_dict!r}")
+    missing = [field.name for field in fields(DenoiserConfig) if field.name not in cfg_dict]
+    if missing:
+        raise CheckpointError(f"{path}: config lacks {', '.join(missing)}")
     try:
-        cfg_dict = dict(header["config"])
-        cfg_dict["unet_channels"] = tuple(cfg_dict["unet_channels"])
-        config = DenoiserConfig(**cfg_dict)
-    except (KeyError, TypeError, ValueError) as err:
+        config = DenoiserConfig(**{**cfg_dict, "unet_channels": tuple(cfg_dict["unet_channels"])})
+    except (TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: bad config: {err}") from None
     train_t = header["train_t"]
     if train_t is not None and not (_is_int(train_t) and train_t >= 1):
@@ -138,9 +174,16 @@ def load_checkpoint(path):
     if header["dtype"] != config.dtype:
         raise CheckpointError(f"{path}: arrays stored as {header['dtype']}, config says "
                               f"{config.dtype}")
-    denoiser = build_denoiser(config, seed=None)  # draws nothing: every weight is read below
-    body = memoryview(raw)[16 + head_len :]  # a view: the weights are copied once, below
-    np_dtype = np.dtype(config.dtype).newbyteorder("<")
+    denoiser = build_denoiser(config, seed=None)  # draws nothing: every weight is read after
+    denoiser.train_t = train_t
+    denoiser.scaler = scaler
+    denoiser.feature_names = tuple(names) if names is not None else None
+    return denoiser, params, meta
+
+
+def _read_arrays(path, fh, body_len: int, denoiser: Denoiser, params) -> None:
+    """Read the body, which ``fh`` is at the start of, into ``denoiser``'s arrays."""
+    np_dtype = np.dtype(denoiser.config.dtype).newbyteorder("<")
     by_name = dict(denoiser.named_arrays())
     missing = sorted(set(by_name) - {name for name, _, _ in params})
     if missing:
@@ -152,16 +195,16 @@ def load_checkpoint(path):
         if offset != end:
             raise CheckpointError(f"{path}: array {name!r} starts at byte {offset} of the body, "
                                   f"not where the array before it ends ({end})")
-        end += math.prod(shape) * np_dtype.itemsize
-        if end > len(body):
+        nbytes = math.prod(shape) * np_dtype.itemsize
+        end += nbytes
+        if end > body_len:
             raise CheckpointError(f"{path}: the file ends inside array {name!r}")
-        arr = np.frombuffer(body[offset:end], dtype=np_dtype).reshape(shape)
-        if by_name[name].shape != arr.shape:
+        target = by_name[name]
+        if target.shape != shape:
             raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-        np.copyto(by_name[name], arr)
-    if len(body) != end:
-        raise CheckpointError(f"{path}: {len(body) - end} bytes follow the last array")
-    denoiser.train_t = train_t
-    denoiser.scaler = scaler
-    denoiser.feature_names = tuple(names) if names is not None else None
-    return denoiser, meta
+        if fh.readinto(target) != nbytes:  # the file shrank since it was opened
+            raise CheckpointError(f"{path}: the file ends inside array {name!r}")
+        if not np_dtype.isnative:
+            target.byteswap(inplace=True)
+    if body_len != end:
+        raise CheckpointError(f"{path}: {body_len - end} bytes follow the last array")

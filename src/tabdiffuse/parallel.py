@@ -45,14 +45,18 @@ MIN_SHARD_ELEMENTS = 1 << 16
 class BlasThreads:
     """The OpenBLAS thread count, pinned to 1 while any holder is inside."""
 
-    def __init__(self, get, set_):
-        self._get, self._set = get, set_
+    def __init__(self, get, set_, corename=None):
+        self._get, self._set, self._corename = get, set_, corename
         self._lock = threading.Lock()
         self._depth = 0
         self._saved = 1
 
     def get(self) -> int:
         return int(self._get())
+
+    def corename(self) -> str | None:
+        """The kernel family the library picked for this CPU, such as SkylakeX."""
+        return self._corename().decode() if self._corename is not None else None
 
     @contextlib.contextmanager
     def pinned(self):
@@ -85,7 +89,10 @@ def find_openblas(paths) -> BlasThreads | None:
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return BlasThreads(get, set_)
+                corename = getattr(lib, f"{prefix}get_corename{suffix}", None)
+                if corename is not None:
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return BlasThreads(get, set_, corename)
     return None
 
 

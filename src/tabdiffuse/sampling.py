@@ -246,7 +246,8 @@ def impute(
     x = combine(noisy_known(sched, x0, top + 1, normal()), normal(), mask)
     if on_step is not None:
         on_step(top, x)
-    keep_heap_mapped(2 << 20)
+    # a step's short-lived arrays grow with the network: size the kept heap by its weights
+    keep_heap_mapped(max(2 << 20, sum(array.nbytes for _, array in denoiser.named_arrays())))
     train_t = denoiser.train_t
     with sharded_eval(denoiser, n) as evaluate:
         for a, b in plan.pairs():

@@ -52,6 +52,11 @@ def keep_heap_mapped(nbytes: int) -> None:
     Until some large array has been freed, it trims past 128 kB.  A smaller
     call never lowers the thresholds, and under another allocator this is
     one untouched allocation.
+
+    Any large array the process frees raises the thresholds the same way, so
+    a caller sizes ``nbytes`` for its own loop rather than rely on what ran
+    before it: ``sampling.impute`` passes the bytes of the network's weights
+    (at least 2 MB), ``training.train`` 31 MB.
     """
     np.empty(nbytes, dtype=np.uint8)
 

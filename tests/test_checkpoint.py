@@ -1,11 +1,16 @@
 import hashlib
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tabdiffuse.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from tabdiffuse import checkpoint
+from tabdiffuse.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from tabdiffuse.data import MinMaxScaler
 from tabdiffuse.denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
 from tabdiffuse.rng import Rng
@@ -155,14 +160,22 @@ def test_resnet_checkpoint_keeps_batch_norm_statistics(tmp_path):
     np.testing.assert_array_equal(den(x, t).data, loaded(x, t).data)
 
 
+def _split(raw: bytes) -> tuple[dict, bytes]:
+    """A checkpoint's JSON header and its body."""
+    head_len = int.from_bytes(raw[8:16], "big")
+    return json.loads(raw[16:16 + head_len]), raw[16 + head_len:]
+
+
+def _join(header: dict, body: bytes) -> bytes:
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return MAGIC + len(head).to_bytes(8, "big") + head + body
+
+
 def _rewrite_header(path, edit):
     """Apply ``edit`` to a checkpoint's JSON header, leaving its arrays as they are."""
-    raw = path.read_bytes()
-    head_len = int.from_bytes(raw[8:16], "big")
-    header = json.loads(raw[16:16 + head_len])
+    header, body = _split(path.read_bytes())
     edit(header)
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(raw[:8] + len(head).to_bytes(8, "big") + head + raw[16 + head_len:])
+    path.write_bytes(_join(header, body))
 
 
 def test_resnet_checkpoint_without_statistics_rejected(tmp_path):
@@ -282,7 +295,30 @@ CORRUPTIONS = {
                         "bad config: ffn_factor must be a finite number > 0, got 0"),
     "dropout_bool": (lambda p: _rewrite_header(p, lambda h: h["config"].update(ffn_dropout=True)),
                      "bad config: ffn_dropout must be a number in [0, 1), got True"),
+    "duplicate_array": (lambda p: p.write_bytes(_with_duplicate(p.read_bytes(), -1)),
+                        "params lists array 'head.bias' twice"),
+    "unknown_header_key": (lambda p: _rewrite_header(p, lambda h: h.update(extra=1)),
+                           "header has unknown keys extra"),
+    "unknown_params_key": (lambda p: _rewrite_header(p, lambda h: h["params"][0].update(dtype="x")),
+                           "params[0] has unknown keys dtype"),
+    "config_lacks_a_key": (lambda p: _rewrite_header(p, lambda h: h["config"].pop("ffn_dropout")),
+                           "config lacks ffn_dropout"),
+    "format_version_true": (lambda p: _rewrite_header(p, lambda h: h.update(format_version=True)),
+                            "unsupported format version"),
+    "scaler_min_above_max": (lambda p: _rewrite_header(p, lambda h: h.update(
+        scaler={"data_min": [0.0, 2.0, 0.0], "data_max": [1.0, 1.0, 1.0]})),
+        "each min at most its max"),
 }
+
+
+def _with_duplicate(raw: bytes, i: int) -> bytes:
+    """``raw`` (a float64 checkpoint) with params[i] listed again at the end and its
+    bytes appended to the body: offsets stay back to back and cover the body."""
+    header, body = _split(raw)
+    entry = header["params"][i]
+    nbytes = 8 * math.prod(entry["shape"])
+    header["params"].append(dict(entry, offset=len(body)))
+    return _join(header, body + body[entry["offset"]:entry["offset"] + nbytes])
 
 
 def test_unfitted_scaler_is_not_saved(tmp_path):
@@ -304,3 +340,161 @@ def test_malformed_checkpoint_exits_2_naming_the_file(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"{path}: " in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+# -- mutation test of the reader ----------------------------------------------
+
+# header slots whose absence or null is itself valid
+OPTIONAL = {("meta",)}
+NULLABLE = {("train_t",), ("scaler",), ("feature_names",), ("config", "hidden")}
+WRONG_TYPES = ["x", 7, True, None, [1], {"k": 1}]
+
+
+def _kind(value) -> str:
+    """The JSON type of ``value``."""
+    return {int: "number", float: "number", type(None): "null"}.get(type(value),
+                                                                    type(value).__name__)
+
+
+def _slots(header: dict) -> list[tuple]:
+    """Paths of every key a mutant can drop or retype: top level, config,
+    each params entry and the scaler."""
+    paths = [(key,) for key in header]
+    paths += [("config", key) for key in header["config"]]
+    paths += [("params", i, key) for i, entry in enumerate(header["params"]) for key in entry]
+    return paths + [("scaler", key) for key in header["scaler"]]
+
+
+def _holder(header: dict, path: tuple):
+    for key in path[:-1]:
+        header = header[key]
+    return header
+
+
+@pytest.fixture(scope="module")
+def mlp4_bytes(tmp_path_factory):
+    """A valid 4-feature MLP checkpoint with every optional part filled."""
+    den = build_denoiser(DenoiserConfig(arch="mlp", n_features=4, hidden=8, blocks=1), seed=31)
+    den.train_t, den.feature_names = 100, ("a", "b", "c", "d")
+    den.scaler = MinMaxScaler().fit(Rng(0).uniform((10, 4)))
+    path = tmp_path_factory.mktemp("mlp4") / "mlp.ckpt"
+    save_checkpoint(path, den, meta={"note": "fixture"})
+    return path.read_bytes()
+
+
+def _mutant(kind: str, data, raw: bytes) -> tuple[bytes, str]:
+    """One mutant of ``raw`` and what loading it must do: "error" (a
+    CheckpointError naming the file), "load", or "valid" (an error, or a load
+    whose network saves back to the same header and body)."""
+    header, body = _split(raw)
+    head_end = len(raw) - len(body)
+    if kind == "drop_key":
+        path = data.draw(st.sampled_from(_slots(header)))
+        del _holder(header, path)[path[-1]]
+        return _join(header, body), "load" if path in OPTIONAL else "error"
+    if kind == "wrong_type":
+        path = data.draw(st.sampled_from(_slots(header)))
+        holder = _holder(header, path)
+        wrong = [v for v in WRONG_TYPES if _kind(v) != _kind(holder[path[-1]])
+                 and not (v is None and path in NULLABLE)]
+        holder[path[-1]] = data.draw(st.sampled_from(wrong))
+        return _join(header, body), "error"
+    if kind == "add_key":
+        holder = data.draw(st.sampled_from([header, header["config"], *header["params"]]))
+        holder["extra"] = data.draw(st.sampled_from([1, "x", None]))
+        return _join(header, body), "error"
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))], "error"
+    if kind == "append":
+        return raw + data.draw(st.binary(min_size=1, max_size=64)), "error"
+    if kind == "move_offset":
+        entry = data.draw(st.sampled_from(header["params"]))
+        entry["offset"] += data.draw(st.integers(-64, 64).filter(bool))
+        return _join(header, body), "error"
+    if kind == "duplicate":
+        return _with_duplicate(raw, data.draw(st.integers(0, len(header["params"]) - 1))), "error"
+    assert kind == "flip_byte"
+    at = data.draw(st.integers(0, head_end - 1))
+    flipped = bytearray(raw)
+    flipped[at] ^= data.draw(st.integers(1, 255))
+    return bytes(flipped), "valid"
+
+
+@pytest.mark.parametrize("kind", ["drop_key", "wrong_type", "add_key", "truncate", "append",
+                                  "move_offset", "duplicate", "flip_byte"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reader_rejects_every_structural_mutant(tmp_path, mlp4_bytes, kind, data):
+    mutant, expect = _mutant(kind, data, mlp4_bytes)
+    path = tmp_path / "mutant.ckpt"
+    path.write_bytes(mutant)
+    try:
+        loaded, meta = load_checkpoint(path)
+    except CheckpointError as err:
+        assert expect != "load" and str(err).startswith(f"{path}: ")
+        return
+    assert expect != "error", f"a {kind} mutant loaded"
+    if expect == "valid":  # every key was read as written: nothing ignored or coerced
+        save_checkpoint(tmp_path / "again.ckpt", loaded, meta)
+        again_header, again_body = _split((tmp_path / "again.ckpt").read_bytes())
+        assert (again_header, again_body) == _split(mutant)
+
+
+# -- one copy of the weights ----------------------------------------------------
+
+TRANSFORMER = DenoiserConfig(arch="transformer", n_features=10)  # the default 10-feature network
+
+
+def _array_bytes(den) -> int:
+    return sum(array.nbytes for _, array in den.named_arrays())
+
+
+def test_load_holds_one_copy_of_the_weights(tmp_path):
+    path = tmp_path / "transformer.ckpt"
+    den = build_denoiser(TRANSFORMER, seed=31)
+    save_checkpoint(path, den)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * _array_bytes(loaded)
+    for (_, a), (_, b) in zip(den.named_arrays(), loaded.named_arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_save_holds_one_copy_of_the_weights(tmp_path):
+    tracemalloc.start()
+    try:
+        den = build_denoiser(TRANSFORMER, seed=31)
+        tracemalloc.reset_peak()  # the peak from here on: the network plus what saving adds
+        save_checkpoint(tmp_path / "transformer.ckpt", den)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * _array_bytes(den)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_float32_checkpoint_round_trips_bit_exactly(tmp_path, arch):
+    den = build_denoiser(replace(CONFIGS[arch], dtype="float32"), seed=31)
+    save_checkpoint(tmp_path / "a.ckpt", den)
+    loaded = load_checkpoint(tmp_path / "a.ckpt")[0]
+    for (na, a), (nb, b) in zip(den.named_arrays(), loaded.named_arrays()):
+        assert na == nb and b.dtype == np.float32 and a.tobytes() == b.tobytes()
+    save_checkpoint(tmp_path / "b.ckpt", loaded)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_a_file_that_shrinks_while_read_ends_inside_an_array(tmp_path, monkeypatch):
+    path = tmp_path / "mlp.ckpt"
+    save_checkpoint(path, build_denoiser(CONFIGS["mlp"], seed=31))
+    real_size = path.stat().st_size
+    # the size the reader saw when it opened the file; 40 bytes are gone by the last read
+    monkeypatch.setattr(checkpoint.os, "fstat",
+                        lambda fd: type("Stat", (), {"st_size": real_size})())
+    path.write_bytes(path.read_bytes()[:-40])
+    with pytest.raises(CheckpointError, match="the file ends inside array 'head.weight'"):
+        load_checkpoint(path)

@@ -209,6 +209,12 @@ def test_pin_depth_survives_many_concurrent_holders(blas):
     assert blas.get() == 2
 
 
+def test_blas_names_the_kernel_it_picked(blas):
+    # recorded beside output manifests: output bytes repeat only on the same kernel
+    core = blas.corename()
+    assert isinstance(core, str) and core.strip()
+
+
 def test_missing_openblas_runs_the_same_shards_on_one_thread_with_the_same_bytes(monkeypatch):
     assert parallel.find_openblas([]) is None
     assert parallel.find_openblas(["no-such-library.so"]) is None

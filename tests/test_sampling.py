@@ -358,6 +358,23 @@ def test_time_axis_rescaling_feeds_training_scale():
     assert max(seen) == 50
 
 
+@pytest.mark.parametrize("config", [DenoiserConfig(arch="transformer", n_features=10),
+                                    DenoiserConfig(arch="mlp", n_features=2, hidden=8, blocks=1)])
+def test_sampler_keeps_a_heap_as_large_as_the_network(monkeypatch, config):
+    # a step's short-lived arrays grow with the network; a heap kept at a fixed
+    # 2 MB lets malloc trim them away and fault them back in on every step
+    import tabdiffuse.sampling as sampling
+
+    sizes = []
+    monkeypatch.setattr(sampling, "keep_heap_mapped", sizes.append)
+    den = build_denoiser(config, seed=0)
+    table = MaskedTable(Rng(34).uniform((8, config.n_features)),
+                        Rng(35).uniform((8, config.n_features)) > 0.3)
+    impute(den, [(table, 0)], SamplerOptions(t_sampling=2))
+    weights = sum(array.nbytes for _, array in den.named_arrays())
+    assert sizes == [max(2 << 20, weights)]
+
+
 def test_feature_count_mismatch_rejected():
     den = tiny_denoiser()
     table = MaskedTable(np.ones((3, 4)), np.ones((3, 4), dtype=bool))
