@@ -3,7 +3,7 @@
 
 The set covers each command's output paths: ``train`` for all four
 architectures (one with ``--checkpoint-every``, one with
-``--no-time-embedding``), a dense ``impute``, a skip-step ``impute`` with
+``--no-time-embedding``), a full-plan ``impute``, a skip-step ``impute`` with
 retracing, float32 ``train`` runs of the U-Net, the ResNet (batch-norm
 buffers) and the Transformer (feature tokens and CLS) with a skip-step
 ``impute`` through that Transformer, an MLP trained on a 10000x4 table and an

@@ -569,7 +569,7 @@ def cmd_ablate(args):
                           jump_n_sample=args.jump_n_sample)
     if args.preset == "tau-sweep":
         # retrace depth 5 rides along, matching the published sweep protocol;
-        # a skip length covering the whole axis is the plain sampler
+        # a skip length covering the whole axis is the full plan
         runs = [(f"tau={tau}", denoiser,
                  replace(opts, tau=tau if tau < args.T_sampling else None, jump_n_sample=5))
                 for tau in TAU_SWEEP]
@@ -633,7 +633,8 @@ def make_parser() -> argparse.ArgumentParser:
         """Sampler options; ablate's presets set the skip and retrace
         lengths themselves (plan=False)."""
         p.add_argument("--T-sampling", type=int, default=500)
-        p.add_argument("--eta", type=float, default=0.0)
+        p.add_argument("--eta", type=float, default=None,
+                       help="reverse-step noise (DDIM eta); unset: 1 without --tau, 0 with it")
         p.add_argument("--jump-n-sample", type=int, default=1)
         p.add_argument("--n-inferences", type=_count("inferences"), default=5)
         if plan:

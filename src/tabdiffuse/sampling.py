@@ -3,10 +3,12 @@
 The sampler walks a step plan (reverse traversal of a skip subset, with
 optional retrace jumps) over a masked table.  On every denoising step the
 known region is re-sampled by forward-diffusing the observations to the
-target level, the unknown region is advanced by the reverse step (ancestral
-on the dense plan, skip-step otherwise), and the two are blended by the
-mask.  Retrace entries in the plan re-noise the whole state forward.  The
-final output carries the raw observed values verbatim at known entries.
+target level, the unknown region is advanced by the one reverse step,
+``impute_ddim_step``, and the two are blended by the mask.  On the full plan
+(every step of the axis) with eta = 1 that step is the ancestral DDPM step,
+and its last step, to level 0, adds no noise.  Retrace entries in the plan
+re-noise the whole state forward.  The final output carries the raw observed
+values verbatim at known entries.
 
 Several walks (inferences) over tables of one shape run as one stacked
 state: one network evaluation per step serves them all, and each walk draws
@@ -52,9 +54,9 @@ class SamplerOptions:
     """Everything the sampling stage parameterizes."""
 
     t_sampling: int = 500
-    tau: int | None = None  # skip-subset length; None = dense ancestral walk
+    tau: int | None = None  # skip-subset length; None = the full plan, every step
     skip_type: str = "uniform"
-    eta: float = 0.0
+    eta: float | None = None  # step stochasticity; None = step_eta's default
     jump_length: int = 1
     jump_n_sample: int = 1  # retrace depth j; 1 = no retracing
 
@@ -63,10 +65,15 @@ class SamplerOptions:
             raise ValueError("t_sampling must be >= 1")
         if self.tau is not None and not 1 <= self.tau <= self.t_sampling:
             raise ValueError("tau must lie in [1, t_sampling]")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.jump_length < 1 or self.jump_n_sample < 1:
             raise ValueError("jump parameters must be >= 1")
+
+    @property
+    def step_eta(self) -> float:
+        """The given eta, else 1 (ancestral) on the full plan and 0 on a skip plan."""
+        return self.eta if self.eta is not None else (1.0 if self.tau is None else 0.0)
 
 
 @dataclass
@@ -107,34 +114,15 @@ def _clip_state_estimate(
 ) -> np.ndarray:
     """Clamp the implied clean state and re-derive the noise estimate.
 
-    Re-deriving eps from the clamped estimate keeps every stepper a function
-    of (x_t, x0_hat) only, so the ancestral/skip-step equivalence is exact
-    even when the clamp binds.  Without a clamp the raw prediction is used
-    and the formulas below reduce to their textbook form.
+    Re-deriving eps from the clamped estimate keeps the step a function of
+    (x_t, x0_hat) only, so its eta = 1 case is the ancestral step even when
+    the clamp binds.  Without a clamp the raw prediction is used and the
+    step reduces to its textbook form.
     """
     abar = sched.alpha_bar_at(t)
     x0_hat = (x_t - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
     x0_hat = np.clip(x0_hat, clip_x0[0], clip_x0[1])
     return (x_t - math.sqrt(abar) * x0_hat) / math.sqrt(1.0 - abar)
-
-
-def ddpm_step(
-    sched: DiffusionSchedule,
-    x_t: np.ndarray,
-    t: int,
-    eps_hat: np.ndarray,
-    noise: np.ndarray,
-    clip_x0: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Ancestral reverse step; the stochastic term vanishes at t = 1."""
-    alpha = sched.alpha_at(t)
-    abar = sched.alpha_bar_at(t)
-    if clip_x0 is not None:
-        eps_hat = _clip_state_estimate(sched, x_t, t, eps_hat, clip_x0)
-    mean = (x_t - (1.0 - alpha) / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(alpha)
-    if t == 1:
-        return mean
-    return mean + sched.posterior_sigma_at(t) * noise
 
 
 def combine(known: np.ndarray, unknown: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -169,6 +157,10 @@ def impute_ddim_step(
 
     x_prev = sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev - sigma^2) eps_hat
              + sigma noise,   x0_hat = (x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t).
+
+    With eta = 1 and prev_t = t - 1 this is the ancestral step
+    (x_t - (1 - alpha_t) / sqrt(1 - abar_t) eps_hat) / sqrt(alpha_t) + sigma_post noise;
+    sigma is 0 at prev_t = 0, so a step to level 0 adds no noise.
     """
     sigma = ddim_sigma(sched, t, prev_t, eta)
     abar_t = sched.alpha_bar_at(t)
@@ -239,10 +231,10 @@ def impute(
         return np.concatenate([rng.normal(shape) for rng in rngs])
 
     n = len(x0)
-    dense = opts.tau is None
+    eta = opts.step_eta
     top = plan.ts[0]
     # Fixed draw order per step keeps each walk's noise stream identical across
-    # stepper variants and stackings: known-region noise first, then the step noise.
+    # eta values and stackings: known-region noise first, then the step noise.
     x = combine(noisy_known(sched, x0, top + 1, normal()), normal(), mask)
     if on_step is not None:
         on_step(top, x)
@@ -256,12 +248,8 @@ def impute(
                 step_noise = normal()
                 t_math = a + 1
                 eps_hat = evaluate(x, np.full(n, _denoiser_time(t_math, sched.T, train_t)))
-                if dense:
-                    unknown = ddpm_step(sched, x, t_math, eps_hat, step_noise,
-                                        clip_x0=CLIP_X0)
-                else:
-                    unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, opts.eta,
-                                               step_noise, clip_x0=CLIP_X0)
+                unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, eta, step_noise,
+                                           clip_x0=CLIP_X0)
                 known = noisy_known(sched, x0, b + 1, eps_known)
                 x = combine(known, unknown, mask)
             else:  # retrace: re-noise the whole state from level a+1 up to b+1

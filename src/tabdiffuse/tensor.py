@@ -128,19 +128,8 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- autodiff -------------------------------------------------------------
 
@@ -218,15 +207,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -other)
 
-    def __rsub__(self, other):
-        return add(-self, other)
-
-    def __truediv__(self, other):
-        return mul(self, power(_like(other, self), -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(_like(other, self), power(self, -1.0))
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -245,17 +225,8 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
     def abs(self):
         return absolute(self)
-
-    def relu(self):
-        return relu(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -658,17 +629,6 @@ def exp(a) -> Tensor:
         return (g * _out,)
 
     return Tensor._from_op(data, (a,), backward, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def backward(g, _a=a):
-        return (g / _a.data,)
-
-    return Tensor._from_op(data, (a,), backward, "log")
 
 
 def silu(a) -> Tensor:

@@ -1,10 +1,16 @@
-"""Shared test helpers, mostly the central finite-difference gradient check."""
+"""Shared test helpers: the central finite-difference gradient check, and
+the ancestral (DDPM) reverse step and walk written out as sampler oracles."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from tabdiffuse.tensor import Tensor
+from tabdiffuse.rng import Rng
+from tabdiffuse.sampling import CLIP_X0
+from tabdiffuse.schedule import build_cosine_schedule, harmonization_plan
+from tabdiffuse.tensor import Tensor, no_grad
 
 
 def numeric_grad(f, param: Tensor, h: float = 1e-5, coords=None) -> dict[int, float]:
@@ -67,3 +73,52 @@ def check_gradients(make_loss, params, tol: float = 1e-4, max_coords: int | None
         worst = max(worst, max_rel_err(p.grad, num))
     assert worst <= tol, f"gradient mismatch: max rel err {worst:.3e} > {tol}"
     return worst
+
+
+def ancestral_step(sched, x, t, eps_hat, z, clip_x0=None):
+    """The ancestral reverse step from level t to t - 1, written out:
+    (x - (1 - alpha_t) / sqrt(1 - abar_t) eps_hat) / sqrt(alpha_t) + sigma_post z.
+
+    With ``clip_x0``, ``eps_hat`` is first re-derived from the clean-state
+    estimate clamped to that range, as the sampler does.
+    """
+    alpha, abar = sched.alpha_at(t), sched.alpha_bar_at(t)
+    if clip_x0 is not None:
+        x0_hat = np.clip((x - math.sqrt(1 - abar) * eps_hat) / math.sqrt(abar), *clip_x0)
+        eps_hat = (x - math.sqrt(abar) * x0_hat) / math.sqrt(1 - abar)
+    mean = (x - (1 - alpha) / math.sqrt(1 - abar) * eps_hat) / math.sqrt(alpha)
+    return mean + sched.posterior_sigma_at(t) * z
+
+
+def ancestral_walk(denoiser, table, seed, T, jump_length=1, jump_n_sample=1):
+    """Every state of a one-walk full-plan imputation, step by step: the
+    retrace plan over all T levels, ``ancestral_step`` (clamped) for the
+    unknown cells, the observations forward-noised for the known ones, and
+    the sampler's draw order (known-region noise, then step noise; one draw
+    per retrace).  ``denoiser`` must be untrained (no ``train_t``), so its time
+    input is the step itself."""
+    sched = build_cosine_schedule(T)
+    plan = harmonization_plan(list(range(T)), jump_length, jump_n_sample)
+    rng = Rng(seed)
+    shape = table.x_obs.shape
+    m = table.mask.astype(np.float64)
+    x0 = np.where(table.mask, table.x_obs, 0.0)
+
+    def known(level):
+        abar = sched.alpha_bar_at(level)
+        return math.sqrt(abar) * x0 + math.sqrt(1 - abar) * rng.normal(shape)
+
+    x = m * known(plan.ts[0] + 1) + (1 - m) * rng.normal(shape)
+    states = [x]
+    for a, b in plan.pairs():
+        if b < a:
+            known_b = known(b + 1)
+            z = rng.normal(shape)
+            with no_grad():
+                eps_hat = denoiser(x, np.full(shape[0], a + 1)).data
+            x = m * known_b + (1 - m) * ancestral_step(sched, x, a + 1, eps_hat, z, CLIP_X0)
+        else:
+            ratio = sched.alpha_bar_at(b + 1) / sched.alpha_bar_at(a + 1)
+            x = math.sqrt(ratio) * x + math.sqrt(1 - ratio) * rng.normal(shape)
+        states.append(x)
+    return states

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_gradients
+from conftest import ancestral_step, ancestral_walk, check_gradients
 from tabdiffuse.baselines import baseline_impute
 from tabdiffuse.bench import (
     MaskSpec,
@@ -38,7 +38,6 @@ from tabdiffuse.rng import Rng, derive_seed
 from tabdiffuse.sampling import (
     MaskedTable,
     SamplerOptions,
-    ddpm_step,
     impute,
     impute_ddim_step,
 )
@@ -153,7 +152,7 @@ def test_criterion_2a_ddim_eta1_equals_ddpm_step():
     worst = 0.0
     for t in range(1, 501):
         lhs = impute_ddim_step(sched, x, t, t - 1, eps_hat, 1.0, noise)
-        rhs = ddpm_step(sched, x, t, eps_hat, noise)
+        rhs = ancestral_step(sched, x, t, eps_hat, noise)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst <= 1e-10, f"max deviation {worst:.2e}"
     _report(2, f"(a) eta=1 step identity, max dev {worst:.1e}")
@@ -166,20 +165,15 @@ def test_criterion_2b_full_trajectories_agree():
     m = Rng(30).uniform((5, 2)) > 0.5
     table = MaskedTable(x, m)
     T = 500
-    base = dict(t_sampling=T, jump_length=1, jump_n_sample=2)
-    states = {}
-    for key, opts in (
-        ("ddpm", SamplerOptions(**base)),
-        ("ddim", SamplerOptions(tau=T, eta=1.0, **base)),
-    ):
-        captured = []
-        impute(den, [(table, 11)], opts, on_step=lambda t, s: captured.append(s.copy()))
-        states[key] = captured
-    assert len(states["ddpm"]) == len(states["ddim"])
-    worst = max(float(np.max(np.abs(a - b)))
-                for a, b in zip(states["ddpm"], states["ddim"]))
+    # the default full plan (no tau, no eta) against the ancestral walk written out
+    states = []
+    impute(den, [(table, 11)], SamplerOptions(t_sampling=T, jump_length=1, jump_n_sample=2),
+           on_step=lambda t, s: states.append(s.copy()))
+    oracle = ancestral_walk(den, table, 11, T, jump_length=1, jump_n_sample=2)
+    assert len(states) == len(oracle)
+    worst = max(float(np.max(np.abs(a - b))) for a, b in zip(states, oracle))
     assert worst <= 1e-8, f"trajectory deviation {worst:.2e}"
-    _report(2, f"(b) full-trajectory agreement over {len(states['ddpm'])} steps, "
+    _report(2, f"(b) full-trajectory agreement over {len(states)} steps, "
                f"max dev {worst:.1e}")
 
 

@@ -178,10 +178,28 @@ def test_impute_logs_runtime_for_tau_and_dense(workdir, tmp_path, capsys):
     ]
     assert main(base + ["--tau", "10", "--out", str(tmp_path / "fast.csv")]) == 0
     err_fast = capsys.readouterr().err
-    assert main(base + ["--out", str(tmp_path / "dense.csv")]) == 0
-    err_dense = capsys.readouterr().err
+    assert main(base + ["--out", str(tmp_path / "full.csv")]) == 0
+    err_full = capsys.readouterr().err
     assert "wall time" in err_fast and "plan steps: 10," in err_fast
-    assert "wall time" in err_dense and "plan steps: 50," in err_dense
+    assert "wall time" in err_full and "plan steps: 50," in err_full
+
+
+def test_impute_eta_applies_on_the_full_plan(workdir, tmp_path):
+    # without --tau the walk takes every step; an unset --eta is 1 there (the
+    # ancestral walk), and a given --eta applies
+    base = [
+        "impute", "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+        "--data", str(workdir / "data.csv"), "--mcar", "0.3",
+        "--T-sampling", "40", "--n-inferences", "1", "--seed", "1",
+    ]
+    variants = {"default": [], "eta-0": ["--eta", "0"],
+                "tau-T-eta-1": ["--tau", "40", "--eta", "1"]}
+    bodies = {}
+    for name, extra in variants.items():
+        assert main(base + extra + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+        bodies[name] = (tmp_path / f"{name}.csv").read_text().splitlines()[3:]
+    assert bodies["default"] == bodies["tau-T-eta-1"]
+    assert bodies["eta-0"] != bodies["default"]
 
 
 def test_benchmark_baselines_only(workdir, tmp_path):
@@ -564,7 +582,7 @@ GOLDEN_CONFIGS = {
          "--seed", "5", "--out", "{out}/imp.csv"],
         "imp.csv.config.txt",
         ["[impute]", "T_sampling = 20", "checkpoint = {work}/run/checkpoint.ckpt",
-         "data = {work}/data.csv", "eta = 0.0", "jump_length = 1", "jump_n_sample = 1",
+         "data = {work}/data.csv", "eta = ", "jump_length = 1", "jump_n_sample = 1",
          "mar = ", "mask = ", "mcar = 0.3", "n_inferences = 1", "seed = 5",
          "skip_type = uniform", "target = ", "tau = 5"],
     ),
@@ -574,7 +592,7 @@ GOLDEN_CONFIGS = {
          "--n-inferences", "1", "--seed", "5", "--out-dir", "{out}/abl"],
         "abl/run_config.txt",
         ["[ablate]", "T_sampling = 10", "checkpoint = {work}/run/checkpoint.ckpt",
-         "checkpoint_no_tst = ", "data = {work}/data.csv", "eta = 0.0", "jump_n_sample = 1",
+         "checkpoint_no_tst = ", "data = {work}/data.csv", "eta = ", "jump_n_sample = 1",
          "mcar = 0.3", "n_inferences = 1", "n_mask_seeds = 1", "preset = harmonization",
          "seed = 5", "split_fraction = 0.8", "target = "],
     ),
@@ -585,7 +603,7 @@ GOLDEN_CONFIGS = {
          "--seed", "2", "--out-dir", "{out}/bench"],
         "bench/run_config.txt",
         ["[benchmark]", "T_sampling = 10", "checkpoints = {work}/run/checkpoint.ckpt",
-         "data = {work}/data.csv", "eta = 0.0", "grid = mcar=30 mar=1", "jobs = 1",
+         "data = {work}/data.csv", "eta = ", "grid = mcar=30 mar=1", "jobs = 1",
          "jump_length = 1", "jump_n_sample = 1", "methods = mean,diffusion-mlp",
          "n_inferences = 1", "n_mask_seeds = 1", "report_space = scaled", "seed = 2",
          "split_fraction = 0.8", "target = ", "tau = 5"],
@@ -595,7 +613,7 @@ GOLDEN_CONFIGS = {
          "--out-dir", "{out}/bench2"],
         "bench2/run_config.txt",
         ["[benchmark]", "T_sampling = 500", "checkpoints = ", "data = {work}/data.csv",
-         "eta = 0.0", "grid = mcar=40", "jobs = 1", "jump_length = 1", "jump_n_sample = 1",
+         "eta = ", "grid = mcar=40", "jobs = 1", "jump_length = 1", "jump_n_sample = 1",
          "methods = mean,median,mode,const0,const1,locf,nocb", "n_inferences = 5",
          "n_mask_seeds = 1", "report_space = scaled", "seed = 0", "split_fraction = 0.8",
          "target = ", "tau = "],
@@ -617,9 +635,12 @@ def _stamp(path):
 
 def test_benchmark_stamp_covers_sampler_options(workdir, tmp_path):
     base = ["benchmark", "--data", str(workdir / "data.csv"), "--methods", "mean",
-            "--grid", "mcar=40", "--n-mask-seeds", "1", "--tau", "10"]
-    variants = {"default": [], "eta": ["--eta", "1"], "jump-length": ["--jump-length", "2"],
-                "jump-n-sample": ["--jump-n-sample", "3"]}
+            "--grid", "mcar=40", "--n-mask-seeds", "1"]
+    tau = ["--tau", "10"]
+    variants = {"default": tau, "eta": [*tau, "--eta", "1"],
+                "jump-length": [*tau, "--jump-length", "2"],
+                "jump-n-sample": [*tau, "--jump-n-sample", "3"],
+                "full-plan": [], "full-plan-eta": ["--eta", "0"]}
     stamps = set()
     for name, extra in variants.items():
         assert main(base + extra + ["--out-dir", str(tmp_path / name)]) == 0

@@ -12,7 +12,7 @@ from tabdiffuse.denoisers import (
 from tabdiffuse.nn import BatchSizeError
 from tabdiffuse.optim import smooth_l1
 from tabdiffuse.rng import Rng
-from tabdiffuse.tensor import Tensor
+from tabdiffuse.tensor import Tensor, relu
 
 TINY = {
     "mlp": dict(arch="mlp", n_features=3, hidden=5, blocks=2,
@@ -126,7 +126,7 @@ def test_resnet_zero_residual_branch_reduces_to_stem_head():
     # with dead residual branches the network is head(relu(bn(stem(x))))
     h = den.stem(Tensor(x))
     h = den.out_norm(h, training=False)
-    expect = den.head(h.relu()).data
+    expect = den.head(relu(h)).data
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 

@@ -2,6 +2,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ancestral_step, ancestral_walk
 from tabdiffuse.bench import average_inferences
 from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
 from tabdiffuse.rng import Rng, derive_seed
@@ -10,7 +11,6 @@ from tabdiffuse.sampling import (
     SamplerOptions,
     build_plan,
     combine,
-    ddpm_step,
     harmonize_jump,
     impute,
     impute_ddim_step,
@@ -65,22 +65,29 @@ def test_known_sample_formula_oracle():
         noisy_known(sched, x0, -1, eps)
 
 
+# The ancestral (DDPM) step is the reverse step at eta = 1 and unit steps;
+# ``ancestral_step`` writes it out as the oracle.
+
+
 def test_ddpm_step_identity_limit():
     sched = near_identity_schedule()
     x = Rng(5).normal((3, 2))
-    out = ddpm_step(sched, x, 3, np.zeros_like(x), np.zeros_like(x))
+    zeros = np.zeros_like(x)
+    out = impute_ddim_step(sched, x, 3, 2, zeros, 1.0, zeros)
+    np.testing.assert_allclose(ancestral_step(sched, x, 3, zeros, zeros), x, atol=1e-9)
     np.testing.assert_allclose(out, x, atol=1e-9)
 
 
 def test_ddpm_step_t1_deterministic():
+    # the step to level 0 adds no noise: sigma is 0 there
     sched = build_cosine_schedule(20)
     x = Rng(6).normal((3, 2))
     eps_hat = Rng(7).normal((3, 2))
     big_noise = np.full_like(x, 1e6)
-    np.testing.assert_array_equal(
-        ddpm_step(sched, x, 1, eps_hat, big_noise),
-        ddpm_step(sched, x, 1, eps_hat, np.zeros_like(x)),
-    )
+    out = impute_ddim_step(sched, x, 1, 0, eps_hat, 1.0, big_noise)
+    np.testing.assert_array_equal(out, impute_ddim_step(sched, x, 1, 0, eps_hat, 1.0,
+                                                        np.zeros_like(x)))
+    np.testing.assert_allclose(out, ancestral_step(sched, x, 1, eps_hat, big_noise), atol=1e-14)
 
 
 def test_ddpm_step_formula_oracle():
@@ -89,9 +96,9 @@ def test_ddpm_step_formula_oracle():
     eps_hat = Rng(9).normal((2, 2))
     noise = Rng(10).normal((2, 2))
     t = 17
-    a, ab, s = sched.alpha_at(t), sched.alpha_bar_at(t), sched.posterior_sigma_at(t)
-    expect = (x - (1 - a) / math.sqrt(1 - ab) * eps_hat) / math.sqrt(a) + s * noise
-    np.testing.assert_allclose(ddpm_step(sched, x, t, eps_hat, noise), expect, atol=1e-14)
+    expect = ancestral_step(sched, x, t, eps_hat, noise)
+    np.testing.assert_allclose(impute_ddim_step(sched, x, t, t - 1, eps_hat, 1.0, noise), expect,
+                               atol=1e-14)
 
 
 def test_combine_cases():
@@ -152,13 +159,13 @@ def test_impute_ddim_step_eta1_adjacent_matches_ddpm():
     noise = Rng(19).normal((4, 3))
     for t in [2, 7, 100, 200]:
         lhs = impute_ddim_step(sched, x, t, t - 1, eps_hat, 1.0, noise)
-        rhs = ddpm_step(sched, x, t, eps_hat, noise)
+        rhs = ancestral_step(sched, x, t, eps_hat, noise)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_eta1_ddpm_identity_survives_state_clamp():
-    # both steppers re-derive eps from the clamped clean-state estimate, so
-    # the equivalence holds even when the clamp binds
+    # the step and the oracle both re-derive eps from the clamped clean-state
+    # estimate, so the equivalence holds even when the clamp binds
     sched = build_cosine_schedule(200)
     x = Rng(40).normal((4, 3)) * 5.0  # large states force the clamp to bind
     eps_hat = Rng(41).normal((4, 3))
@@ -166,7 +173,7 @@ def test_eta1_ddpm_identity_survives_state_clamp():
     clip = (-1.0, 2.0)
     for t in [2, 7, 100, 200]:
         lhs = impute_ddim_step(sched, x, t, t - 1, eps_hat, 1.0, noise, clip_x0=clip)
-        rhs = ddpm_step(sched, x, t, eps_hat, noise, clip_x0=clip)
+        rhs = ancestral_step(sched, x, t, eps_hat, noise, clip_x0=clip)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -180,6 +187,16 @@ def test_impute_ddim_step_zero_eps_hat_scales_state():
 
 
 # -- options and table validation ---------------------------------------------------
+
+
+def test_step_eta_default_follows_the_plan():
+    # unset: 1 (ancestral) on the full plan, 0 (deterministic) on a skip plan;
+    # a given eta applies to either
+    assert SamplerOptions().step_eta == 1.0
+    assert SamplerOptions(tau=10).step_eta == 0.0
+    assert SamplerOptions(tau=500).step_eta == 0.0
+    assert SamplerOptions(eta=0.0).step_eta == 0.0
+    assert SamplerOptions(tau=10, eta=0.5).step_eta == 0.5
 
 
 def test_sampler_options_validation():
@@ -273,20 +290,24 @@ def test_impute_visits_exactly_the_plan():
 
 
 def test_dense_ddim_eta1_trajectory_matches_ddpm():
+    # an unset tau is the full plan, tau = T, and an unset eta is 1 on it:
+    # the walk is the ancestral one
     den = tiny_denoiser(seed=6)
     x = Rng(29).uniform((5, 2))
     m = Rng(30).uniform((5, 2)) > 0.5
     table = MaskedTable(x, m)
     T = 60
     base = dict(t_sampling=T, jump_length=1, jump_n_sample=2)
-    opts_ddpm = SamplerOptions(**base)  # tau None -> ancestral steps
-    opts_ddim = SamplerOptions(tau=T, eta=1.0, **base)  # same dense plan via skip steps
     states_a, states_b = [], []
-    impute(den, [(table, 11)], opts_ddpm, on_step=lambda t, s: states_a.append(s.copy()))
-    impute(den, [(table, 11)], opts_ddim, on_step=lambda t, s: states_b.append(s.copy()))
-    assert len(states_a) == len(states_b)
-    for sa, sb in zip(states_a, states_b):
-        assert np.max(np.abs(sa - sb)) <= 1e-8
+    impute(den, [(table, 11)], SamplerOptions(**base),
+           on_step=lambda t, s: states_a.append(s.copy()))
+    impute(den, [(table, 11)], SamplerOptions(tau=T, eta=1.0, **base),
+           on_step=lambda t, s: states_b.append(s.copy()))
+    oracle = ancestral_walk(den, table, 11, T, jump_length=1, jump_n_sample=2)
+    assert len(states_a) == len(states_b) == len(oracle)
+    for sa, sb, so in zip(states_a, states_b, oracle):
+        np.testing.assert_array_equal(sa, sb)
+        assert np.max(np.abs(sa - so)) <= 1e-8
 
 
 def test_ensemble_mean_is_arithmetic_mean_of_streams():

