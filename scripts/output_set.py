@@ -5,14 +5,15 @@ The set covers each command's output paths: ``train`` for all four
 architectures (one with ``--checkpoint-every``, one with
 ``--no-time-embedding``), a full-plan ``impute``, a skip-step ``impute`` with
 retracing, float32 ``train`` runs of the U-Net, the ResNet (batch-norm
-buffers) and the Transformer (feature tokens and CLS) with a skip-step
-``impute`` through that Transformer, an MLP trained on a 10000x4 table and an
+buffers) and the Transformer (feature tokens and CLS), a full-plan
+``impute`` through that U-Net and a skip-step one through that Transformer,
+an MLP trained on a 10000x4 table and an
 ``impute`` of that table (large enough that OpenBLAS rounds a row shard
 differently from one call over all the rows, so a change to the shard cuts
 shows), a ``benchmark`` with a binary ``--target``, ``--jobs 2``,
 ``--report-space raw`` and two diffusion methods over an MCAR and a MAR
 setting, a ``benchmark`` with a regression ``--target``, and all three
-``ablate`` presets.  It writes 62 files.  Each line of the manifest is
+``ablate`` presets.  It writes 64 files.  Each line of the manifest is
 ``<sha256>  <path relative to OUT>``, so two manifests diff line for line.
 
 The first line records what the bytes depend on besides the code: numpy's
@@ -79,6 +80,8 @@ def commands(out: Path) -> list[list[str]]:
          "--dtype", "float32", *small, "--out", str(out / "resnet-float32")],
         ["train", "--data", data, "--arch", "transformer", "--blocks", "1", "--embed-dim", "16",
          "--heads", "2", "--dtype", "float32", *small, "--out", str(out / "transformer-float32")],
+        ["impute", "--checkpoint", ckpt("unet"), "--data", data, "--mcar", "0.3", *sampler,
+         "--out", str(out / "impute-unet-float32.csv")],
         ["impute", "--checkpoint", ckpt("transformer-float32"), "--data", data, "--mcar", "0.3",
          "--tau", "10", *sampler, "--out", str(out / "impute-skip-float32.csv")],
         ["impute", "--checkpoint", ckpt("resnet"), "--data", data, "--mcar", "0.3", *sampler,

@@ -18,7 +18,7 @@ import itertools
 import sys
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +234,13 @@ def resolved_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return format_config(args.command, values)
 
 
+def _from_args(cls, args: argparse.Namespace, **renamed):
+    """A ``cls`` config from every field the command parsed under the field's
+    own name; ``renamed`` gives the fields the command names otherwise or derives."""
+    parsed = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**parsed, **renamed)
+
+
 def _existing(path: Path, what: str) -> Path:
     if not path.exists():
         raise UsageError(f"{what} not found: {path}")
@@ -264,26 +271,8 @@ def cmd_train(args):
     scaler = MinMaxScaler().fit(ds.features)
     scaled = scaler.transform(ds.features)
 
-    den_cfg = DenoiserConfig(
-        arch=args.arch,
-        n_features=ds.n_features,
-        blocks=args.blocks,
-        hidden=args.hidden,
-        embed_dim=args.embed_dim,
-        heads=args.heads,
-        unet_channels=args.unet_channels,
-        time_embedding=args.time_embedding,
-        dtype=args.dtype,
-    )
-    tr_cfg = TrainingConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        t_training=args.T,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        beta_l1=args.beta_l1,
-        seed=args.seed,
-    )
+    den_cfg = _from_args(DenoiserConfig, args, n_features=ds.n_features)
+    tr_cfg = _from_args(TrainingConfig, args, t_training=args.T)
     out_dir = args.out
     denoiser = build_denoiser(den_cfg, seed=tr_cfg.seed)
     denoiser.scaler, denoiser.feature_names = scaler, ds.feature_names
@@ -339,19 +328,12 @@ def _impute_walks(denoiser, opts, n_rows, walks):
 
 
 def cmd_impute(args):
+    opts = _from_args(SamplerOptions, args, t_sampling=args.T_sampling)
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     denoiser = _load_model(args.checkpoint, ds.feature_names)
     scaler = denoiser.scaler
     seed = args.seed
     mask = _make_mask(args, ds.n_rows, ds.n_features, seed)
-    opts = SamplerOptions(
-        t_sampling=args.T_sampling,
-        tau=args.tau,
-        skip_type=args.skip_type,
-        eta=args.eta,
-        jump_length=args.jump_length,
-        jump_n_sample=args.jump_n_sample,
-    )
 
     scaled = scaler.transform(ds.features) if scaler is not None else ds.features
     table = MaskedTable(scaled, mask)
@@ -434,6 +416,7 @@ def _diffusion_impute_fn(denoiser, opts, bench_scaler=None):
 
 
 def cmd_benchmark(args):
+    opts = _from_args(SamplerOptions, args, t_sampling=args.T_sampling)
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     if ds.target is not None and not np.all(np.isfinite(ds.target)):
         row = int(np.flatnonzero(~np.isfinite(ds.target))[0]) + 2  # 1-based, after the header
@@ -459,8 +442,6 @@ def cmd_benchmark(args):
             raise UsageError(f"checkpoint {path_str} provides {method}, "
                              f"which --methods does not list")
         checkpoints[method] = (path_str, denoiser)
-    opts = SamplerOptions(t_sampling=args.T_sampling, tau=args.tau, eta=args.eta,
-                          jump_length=args.jump_length, jump_n_sample=args.jump_n_sample)
 
     impute_fns = {}
     for method in methods:
@@ -557,6 +538,7 @@ def cmd_benchmark(args):
 
 
 def cmd_ablate(args):
+    opts = _from_args(SamplerOptions, args, t_sampling=args.T_sampling)
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     denoiser = _load_model(args.checkpoint, ds.feature_names)
     scaler = denoiser.scaler
@@ -565,8 +547,6 @@ def cmd_ablate(args):
     # scored in the checkpoint's scaled space
     x_true = scaler.transform(test_ds.features) if scaler is not None else test_ds.features
 
-    opts = SamplerOptions(t_sampling=args.T_sampling, eta=args.eta,
-                          jump_n_sample=args.jump_n_sample)
     if args.preset == "tau-sweep":
         # retrace depth 5 rides along, matching the published sweep protocol;
         # a skip length covering the whole axis is the full plan

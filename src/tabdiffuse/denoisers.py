@@ -29,7 +29,6 @@ from .nn import (
     ModuleList,
     MultiHeadSelfAttention,
     TimeStepTokenizer,
-    apply_film,
 )
 from .rng import Rng
 from .tensor import (Tensor, concat, linear_film_relu, parameter, reglu_film, relu, reshape, silu,
@@ -330,11 +329,9 @@ class UNetStage(Module):
 
     def forward(self, x, t, training, rng):
         scale, shift = film_pair(self.tokenizer, t)
-        h = self.gn1(self.conv1(x))
-        h = apply_film(transpose(h, (0, 2, 1)), reshape(scale, (-1, 1, self.out_ch)),
-                       reshape(shift, (-1, 1, self.out_ch)))
-        h = transpose(h, (0, 2, 1))
-        h = silu(h)
+        h = self.gn1(self.conv1(x))  # FiLM per channel, broadcast over positions
+        h = silu(h * (reshape(scale, (-1, self.out_ch, 1)) + 1.0)
+                 + reshape(shift, (-1, self.out_ch, 1)))
         h = silu(self.gn2(self.conv2(h)))
         res = x if self.skip is None else self.skip(x)
         h = h + res

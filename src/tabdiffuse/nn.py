@@ -17,7 +17,6 @@ import numpy as np
 from .rng import Rng
 from .tensor import (
     Tensor,
-    as_tensor,
     attention,
     gelu,
     group_norm,
@@ -248,16 +247,6 @@ def sinusoid_embed(t, kprime: int):
     freqs = np.exp(-math.log(1e4) * np.arange(kprime) / kprime)
     angles = t[..., None] * freqs if t.ndim else t * freqs
     return np.sin(angles), np.cos(angles)
-
-
-def apply_film(x: Tensor, scale, shift) -> Tensor:
-    """Feature-wise affine modulation: x * (scale + 1) + shift."""
-    scale, shift = as_tensor(scale), as_tensor(shift)
-    if scale.shape[-1] != x.shape[-1] or shift.shape[-1] != x.shape[-1]:
-        raise ValueError(
-            f"modulation dim {scale.shape[-1]} does not match features {x.shape[-1]}"
-        )
-    return x * (scale + 1.0) + shift
 
 
 class TimeStepTokenizer(Module):

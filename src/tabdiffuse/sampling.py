@@ -69,6 +69,11 @@ class SamplerOptions:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.jump_length < 1 or self.jump_n_sample < 1:
             raise ValueError("jump parameters must be >= 1")
+        # every step of the plan is checked here, so a bad plan fails before any work
+        sched = build_cosine_schedule(self.t_sampling)
+        for a, b in build_plan(self).pairs():
+            if b < a:
+                _step_sigma(sched, a + 1, b + 1, self.step_eta)
 
     @property
     def step_eta(self) -> float:
@@ -143,6 +148,16 @@ def harmonize_jump(
     return math.sqrt(ratio) * x + math.sqrt(1.0 - ratio) * eps
 
 
+def _step_sigma(sched: DiffusionSchedule, t: int, prev_t: int, eta: float) -> tuple[float, float]:
+    """sigma and the squared direction weight 1 - abar_prev - sigma^2 of the
+    step from t to prev_t; an eta that makes the weight negative is an error."""
+    sigma = ddim_sigma(sched, t, prev_t, eta)
+    direction_sq = 1.0 - sched.alpha_bar_at(prev_t) - sigma * sigma
+    if direction_sq < -1e-12:
+        raise ValueError(f"eta={eta} makes the direction term negative at t={t}")
+    return sigma, direction_sq
+
+
 def impute_ddim_step(
     sched: DiffusionSchedule,
     x_t: np.ndarray,
@@ -162,12 +177,9 @@ def impute_ddim_step(
     (x_t - (1 - alpha_t) / sqrt(1 - abar_t) eps_hat) / sqrt(alpha_t) + sigma_post noise;
     sigma is 0 at prev_t = 0, so a step to level 0 adds no noise.
     """
-    sigma = ddim_sigma(sched, t, prev_t, eta)
+    sigma, direction_sq = _step_sigma(sched, t, prev_t, eta)
     abar_t = sched.alpha_bar_at(t)
     abar_prev = sched.alpha_bar_at(prev_t)
-    direction_sq = 1.0 - abar_prev - sigma * sigma
-    if direction_sq < -1e-12:
-        raise ValueError(f"eta={eta} makes the direction term negative at t={t}")
     if clip_x0 is not None:
         eps_hat = _clip_state_estimate(sched, x_t, t, eps_hat, clip_x0)
     x0_hat = (x_t - math.sqrt(1.0 - abar_t) * eps_hat) / math.sqrt(abar_t)

@@ -1,8 +1,8 @@
 """Diffusion time-axis machinery.
 
-Cosine noise schedule, posterior and subset-skip variances, the skip
-sequence used for accelerated sampling, and the retrace (jump) plan that
-interleaves re-noising steps into the reverse walk.
+Cosine noise schedule, the variance of a (possibly skipping) reverse step,
+the skip sequence used for accelerated sampling, and the retrace (jump)
+plan that interleaves re-noising steps into the reverse walk.
 
 Indexing convention: time steps are 1..T in every public accessor; arrays
 are stored 0-indexed (entry i holds step t = i + 1), and the cumulative
@@ -29,26 +29,13 @@ class DiffusionSchedule:
 
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
-    posterior_sigma: np.ndarray
-
-    def _check(self, t: int, low: int = 1) -> None:
-        if not low <= t <= self.T:
-            raise IndexError(f"time step {t} outside [{low}, {self.T}]")
-
-    def alpha_at(self, t: int) -> float:
-        self._check(t)
-        return float(self.alpha[t - 1])
 
     def alpha_bar_at(self, t: int) -> float:
         """Cumulative signal fraction; alpha_bar_at(0) == 1 by definition."""
-        self._check(t, low=0)
+        if not 0 <= t <= self.T:
+            raise IndexError(f"time step {t} outside [0, {self.T}]")
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
-
-    def posterior_sigma_at(self, t: int) -> float:
-        self._check(t)
-        return float(self.posterior_sigma[t - 1])
 
 
 def build_cosine_schedule(T: int) -> DiffusionSchedule:
@@ -65,12 +52,7 @@ def build_cosine_schedule(T: int) -> DiffusionSchedule:
     f = np.cos(((steps / T + COSINE_OFFSET) / (1.0 + COSINE_OFFSET)) * (math.pi / 2.0)) ** 2
     abar_raw = f / f[0]
     beta = np.minimum(1.0 - abar_raw[1:] / abar_raw[:-1], BETA_CLIP)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    abar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
-    posterior_sigma = np.sqrt((1.0 - abar_prev) / (1.0 - alpha_bar) * beta)
-    return DiffusionSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                             posterior_sigma=posterior_sigma)
+    return DiffusionSchedule(T=T, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
 
 
 def ddim_sigma(sched: DiffusionSchedule, t: int, prev_t: int, eta: float) -> float:

@@ -23,14 +23,15 @@ def numeric_grad(f, param: Tensor, h: float = 1e-5, coords=None) -> dict[int, fl
     if coords is None:
         coords = range(flat.size)
     out: dict[int, float] = {}
-    for i in coords:
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f()
-        flat[i] = orig - h
-        fm = f()
-        flat[i] = orig
-        out[i] = (fp - fm) / (2.0 * h)
+    with no_grad():  # the loss value only: the same bits, without recording a graph
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = f()
+            flat[i] = orig - h
+            fm = f()
+            flat[i] = orig
+            out[i] = (fp - fm) / (2.0 * h)
     return out
 
 
@@ -82,12 +83,14 @@ def ancestral_step(sched, x, t, eps_hat, z, clip_x0=None):
     With ``clip_x0``, ``eps_hat`` is first re-derived from the clean-state
     estimate clamped to that range, as the sampler does.
     """
-    alpha, abar = sched.alpha_at(t), sched.alpha_bar_at(t)
+    beta, abar, abar_prev = sched.beta[t - 1], sched.alpha_bar_at(t), sched.alpha_bar_at(t - 1)
+    alpha = 1.0 - beta
     if clip_x0 is not None:
         x0_hat = np.clip((x - math.sqrt(1 - abar) * eps_hat) / math.sqrt(abar), *clip_x0)
         eps_hat = (x - math.sqrt(abar) * x0_hat) / math.sqrt(1 - abar)
     mean = (x - (1 - alpha) / math.sqrt(1 - abar) * eps_hat) / math.sqrt(alpha)
-    return mean + sched.posterior_sigma_at(t) * z
+    sigma_post = math.sqrt((1.0 - abar_prev) / (1.0 - abar) * beta)
+    return mean + sigma_post * z
 
 
 def ancestral_walk(denoiser, table, seed, T, jump_length=1, jump_n_sample=1):

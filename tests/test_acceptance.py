@@ -41,7 +41,7 @@ from tabdiffuse.sampling import (
     impute,
     impute_ddim_step,
 )
-from tabdiffuse.schedule import build_cosine_schedule, harmonization_plan, skip_seq
+from tabdiffuse.schedule import build_cosine_schedule, ddim_sigma, harmonization_plan, skip_seq
 from tabdiffuse.tensor import Tensor, conv1d
 from tabdiffuse.training import TrainingConfig, train
 
@@ -250,7 +250,8 @@ def test_criterion_4_schedule_invariants():
             abar_t = s.alpha_bar_at(t)
             abar_prev = s.alpha_bar_at(t - 1)
             expect = math.sqrt((1.0 - abar_prev) / (1.0 - abar_t) * s.beta[t - 1])
-            assert abs(s.posterior_sigma_at(t) - expect) <= 1e-12
+            # the ancestral step's noise scale, the eta = 1 adjacent step's sigma
+            assert abs(ddim_sigma(s, t, t - 1, 1.0) - expect) <= 1e-12
     _report(4, "cosine schedule invariants for T in {100, 500, 1000}")
 
 

@@ -831,6 +831,11 @@ def misfit_tables(workdir):
       "--eta", "nan"], "eta must be finite and >= 0"),
     (["impute", "--checkpoint", "{work}/run/checkpoint.ckpt", "--mcar", "0.3", "--eta", "nan"],
      "eta must be finite and >= 0"),
+    # an eta that one step of the plan cannot take fails before the baselines run
+    (["benchmark", "--methods", "mean,diffusion-mlp", "--checkpoint",
+      "{work}/run/checkpoint.ckpt", "--eta", "1.5"], "eta=1.5 makes the direction term negative"),
+    (["impute", "--checkpoint", "{work}/run/checkpoint.ckpt", "--mcar", "0.3", "--tau", "50",
+      "--eta", "3"], "eta=3.0 makes the direction term negative"),
 ], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every",
         "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
         "resnet-one-row-tail", "unknown-method", "missing-checkpoint", "non-finite-target",
@@ -839,7 +844,7 @@ def misfit_tables(workdir):
         "mlp-hidden-0", "resnet-hidden-0", "two-checkpoints-one-method",
         "checkpoint-not-in-methods", "grid-setting-twice", "method-twice", "lr-negative",
         "lr-0", "weight-decay-negative", "weight-decay-nan", "beta-l1-nan", "beta-l1-inf",
-        "skip-step-eta-nan", "dense-eta-nan"])
+        "skip-step-eta-nan", "dense-eta-nan", "benchmark-eta-1.5", "skip-step-eta-3"])
 def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys,
                                                      monkeypatch, flags, message):
     """Each of these exits 2 before any output is written: the run leaves no

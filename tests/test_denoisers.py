@@ -3,14 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import check_gradients
 from tabdiffuse.denoisers import (
     ARCHITECTURES,
     DenoiserConfig,
     build_denoiser,
 )
 from tabdiffuse.nn import BatchSizeError
-from tabdiffuse.optim import smooth_l1
 from tabdiffuse.rng import Rng
 from tabdiffuse.tensor import Tensor, relu
 
@@ -204,26 +202,6 @@ def test_transformer_kaiming_preactivation_variance_band():
         assert 0.1 <= v <= 10.0, f"pre-activation variance {v} outside sanity band"
         h = block(h, scale, shift, training=False, rng=None)
         assert float(h.data.var()) <= 10.0  # residual stream must not blow up
-
-
-# -- gradient master suite (acceptance criterion: finite differences) ----------------
-
-
-@pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_denoiser_gradients_match_finite_differences(arch):
-    cfg = tiny(arch)
-    den = build_denoiser(cfg, seed=13)
-    n = 4 if arch != "resnet" else 4
-    x = Rng(21).normal((n, cfg.n_features)) * 0.5
-    t = np.array([1, 9, 25, 4])[:n]
-    target = Rng(22).normal((n, cfg.n_features))
-    training = arch == "resnet"  # exercise the batch-statistics path
-
-    def loss():
-        return smooth_l1(den(x, t, training=training, rng=None), Tensor(target), beta=1.0)
-
-    params = [p for _, p in den.named_parameters()]
-    check_gradients(loss, params, tol=1e-4, max_coords=48, seed=5)
 
 
 # -- time-step MLP block unit behavior ----------------------------------------

@@ -13,7 +13,6 @@ from tabdiffuse.nn import (
     Linear,
     MultiHeadSelfAttention,
     TimeStepTokenizer,
-    apply_film,
     sinusoid_embed,
 )
 from tabdiffuse.rng import Rng
@@ -47,34 +46,6 @@ def test_sinusoid_frequency_decay():
 def test_sinusoid_batched():
     sin, cos = sinusoid_embed(np.array([0, 1, 5]), 4)
     assert sin.shape == (3, 4) and cos.shape == (3, 4)
-
-
-# -- FiLM ---------------------------------------------------------------------------
-
-
-def test_film_identity_at_zero():
-    x = Tensor(np.array([[1.0, -2.0, 3.0]]))
-    out = apply_film(x, np.zeros((1, 3)), np.zeros((1, 3)))
-    np.testing.assert_array_equal(out.data, x.data)
-
-
-def test_film_scale_minus_one_yields_shift():
-    x = Tensor(np.array([[1.0, -2.0, 3.0]]))
-    shift = np.array([[5.0, 6.0, 7.0]])
-    out = apply_film(x, -np.ones((1, 3)), shift)
-    np.testing.assert_allclose(out.data, shift)
-
-
-def test_film_matches_elementwise_oracle():
-    rng = np.random.default_rng(0)
-    x, s, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-    out = apply_film(Tensor(x), s, b)
-    np.testing.assert_allclose(out.data, x * (s + 1.0) + b, atol=1e-12)
-
-
-def test_film_dim_mismatch():
-    with pytest.raises(ValueError):
-        apply_film(Tensor(np.zeros((1, 3))), np.zeros((1, 4)), np.zeros((1, 4)))
 
 
 # -- time step tokenizer ----------------------------------------------------------
@@ -245,7 +216,7 @@ def test_film_gradients_through_modulation():
 
     def loss():
         scale, shift = tok.split(tok(np.array([1, 5, 9, 2])))
-        return (apply_film(lin(x), scale, shift) ** 2.0).mean()
+        return ((lin(x) * (scale + 1.0) + shift) ** 2.0).mean()
 
     params = [p for _, p in lin.named_parameters()] + [p for _, p in tok.named_parameters()]
     check_gradients(loss, params)

@@ -21,11 +21,7 @@ from tabdiffuse.schedule import DiffusionSchedule, build_cosine_schedule
 
 def near_identity_schedule(T=5, beta=1e-14):
     b = np.full(T, beta)
-    a = 1.0 - b
-    ab = np.cumprod(a)
-    prev = np.concatenate(([1.0], ab[:-1]))
-    sig = np.sqrt((1 - prev) / (1 - ab) * b)
-    return DiffusionSchedule(T=T, beta=b, alpha=a, alpha_bar=ab, posterior_sigma=sig)
+    return DiffusionSchedule(T=T, beta=b, alpha_bar=np.cumprod(1.0 - b))
 
 
 def tiny_denoiser(k=2, seed=0):
@@ -125,7 +121,7 @@ def test_harmonize_back_variance_monte_carlo():
     n = 100_000
     x = np.zeros((n, 1))
     out = harmonize_jump(sched, x, t - 1, t, Rng(12).normal((n, 1)))
-    expect = 1.0 - sched.alpha_at(t)
+    expect = sched.beta[t - 1]
     sigma_var = expect * np.sqrt(2.0 / (n - 1))
     assert abs(out.var() - expect) <= 3 * sigma_var
 
@@ -135,7 +131,7 @@ def test_harmonize_jump_adjacent_equals_single_step():
     x = Rng(13).normal((3, 2))
     eps = Rng(14).normal((3, 2))
     for t in [2, 50, 100]:
-        alpha = sched.alpha_at(t)
+        alpha = 1.0 - sched.beta[t - 1]
         np.testing.assert_allclose(
             harmonize_jump(sched, x, t - 1, t, eps),
             math.sqrt(alpha) * x + math.sqrt(1.0 - alpha) * eps,
@@ -208,6 +204,10 @@ def test_sampler_options_validation():
         SamplerOptions(eta=-0.1)
     with pytest.raises(ValueError):
         SamplerOptions(jump_length=0)
+    # every step of the plan is checked up front: an eta above 1 breaks the
+    # full plan's first step
+    with pytest.raises(ValueError, match="direction term negative at t=500"):
+        SamplerOptions(eta=1.5)
 
 
 def test_masked_table_validation():
@@ -404,11 +404,8 @@ def test_feature_count_mismatch_rejected():
 
 
 def test_dense_quad_subset_rejected_with_clear_message():
-    den = tiny_denoiser()
-    table = MaskedTable(np.ones((3, 2)), np.ones((3, 2), dtype=bool))
-    opts = SamplerOptions(t_sampling=500, tau=400, skip_type="quad")
     with pytest.raises(ValueError, match="strictly ascending"):
-        impute(den, [(table, 0)], opts)
+        SamplerOptions(t_sampling=500, tau=400, skip_type="quad")
 
 
 from hypothesis import given, settings

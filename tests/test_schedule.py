@@ -42,7 +42,6 @@ def test_cosine_schedule_invariants(T):
     assert np.all(np.diff(s.alpha_bar) < 0)
     assert s.alpha_bar[0] < 1.0
     assert s.alpha_bar[-1] <= 1e-3
-    np.testing.assert_allclose(s.alpha, 1.0 - s.beta, atol=1e-15)
 
 
 @pytest.mark.parametrize("T", [1, 2, 10, 100, 500, 1000])
@@ -50,7 +49,7 @@ def test_alpha_bar_is_product_of_alphas(T):
     s = build_cosine_schedule(T)
     prod = 1.0
     for i in range(T):
-        prod *= s.alpha[i]
+        prod *= 1.0 - s.beta[i]
         assert abs(s.alpha_bar[i] - prod) <= 1e-12
 
 
@@ -64,19 +63,20 @@ def test_cosine_midpoint_closed_form():
 
 @pytest.mark.parametrize("T", [100, 500, 1000])
 def test_posterior_sigma_closed_form(T):
+    # the ancestral step's noise scale is the eta = 1 adjacent step's sigma
     s = build_cosine_schedule(T)
     for t in [1, 2, T // 2, T - 1, T]:
         abar_t = s.alpha_bar_at(t)
         abar_prev = s.alpha_bar_at(t - 1)
         expect = math.sqrt((1.0 - abar_prev) / (1.0 - abar_t) * s.beta[t - 1])
-        assert abs(s.posterior_sigma_at(t) - expect) <= 1e-12
+        assert abs(ddim_sigma(s, t, t - 1, eta=1.0) - expect) <= 1e-12
 
 
 def test_schedule_time_bounds():
     s = build_cosine_schedule(10)
     assert s.alpha_bar_at(0) == 1.0
     with pytest.raises(IndexError):
-        s.alpha_at(0)
+        s.alpha_bar_at(-1)
     with pytest.raises(IndexError):
         s.alpha_bar_at(11)
     with pytest.raises(ValueError):
@@ -94,8 +94,10 @@ def test_ddim_sigma_eta_zero():
 
 def test_ddim_sigma_eta_one_adjacent_equals_posterior():
     s = build_cosine_schedule(500)
+    abar_prev = np.concatenate(([1.0], s.alpha_bar[:-1]))
+    sigma_post = np.sqrt((1.0 - abar_prev) / (1.0 - s.alpha_bar) * s.beta)
     for t in range(1, 501):
-        assert abs(ddim_sigma(s, t, t - 1, eta=1.0) - s.posterior_sigma_at(t)) <= 1e-12
+        assert abs(ddim_sigma(s, t, t - 1, eta=1.0) - sigma_post[t - 1]) <= 1e-12
 
 
 def test_ddim_sigma_direct_formula():

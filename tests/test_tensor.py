@@ -10,7 +10,8 @@ import pytest
 from conftest import check_gradients
 from tabdiffuse import nn
 from tabdiffuse import tensor as T
-from tabdiffuse.denoisers import DenoiserConfig, TimeStepMLPBlock, build_denoiser
+from tabdiffuse.denoisers import (DenoiserConfig, TimeStepMLPBlock, UNetStage, build_denoiser,
+                                  film_pair)
 from tabdiffuse.optim import smooth_l1
 from tabdiffuse.rng import Rng
 from tabdiffuse.tensor import NumericError, Tensor, parameter
@@ -268,7 +269,7 @@ def _reglu_film_ref(u, scale, shift):
 
 
 def _linear_film_relu_ref(x, w, b, scale, shift):
-    return T.relu(nn.apply_film(T.linear(x, w, b), scale, shift))
+    return T.relu(T.linear(x, w, b) * (scale + 1.0) + shift)
 
 
 def _attention_args(rng, B=3, n=4, d=6):
@@ -434,6 +435,43 @@ def test_mlp_block_training_step_matches_the_composed_chain(monkeypatch, arch):
 
     monkeypatch.setattr(TimeStepMLPBlock, "__call__", composed)
     ref_grads, ref_after = step()
+    np.testing.assert_array_equal(after, ref_after)
+    assert [name for name, _ in grads] == [name for name, _ in ref_grads]
+    for (name, g), (_, ref) in zip(grads, ref_grads):
+        assert g.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("channels", [(16, 32), (8, 16, 32)], ids=["2-level", "3-level"])
+def test_unet_stage_training_step_matches_the_transposed_film(monkeypatch, dtype, channels):
+    # FiLM applied on (B, C, L) gives the forward bits and every gradient share
+    # of FiLM applied on the (B, L, C) transpose, so trained U-Nets keep their bits
+    cfg = DenoiserConfig(arch="unet", n_features=6, unet_channels=channels, heads=4,
+                         attention_dropout=0.2, dtype=dtype)
+    x = np.random.default_rng(15).normal(size=(8, 6))
+    t = np.arange(1, 9)
+    target = Tensor(np.random.default_rng(16).normal(size=(8, 6)).astype(dtype))
+
+    def step():
+        den, rng = build_denoiser(cfg, seed=3), Rng(17)
+        out = den(x, t, training=True, rng=rng)
+        smooth_l1(out, target).backward()
+        return out.data, [(name, p.grad) for name, p in den.named_parameters()], rng.uniform((4,))
+
+    out, grads, after = step()
+
+    def transposed(self, x, t, training, rng):
+        scale, shift = film_pair(self.tokenizer, t)
+        h = T.transpose(self.gn1(self.conv1(x)), (0, 2, 1))
+        c = self.out_ch
+        h = h * (T.reshape(scale, (-1, 1, c)) + 1.0) + T.reshape(shift, (-1, 1, c))
+        h = T.silu(T.transpose(h, (0, 2, 1)))
+        h = T.silu(self.gn2(self.conv2(h))) + (x if self.skip is None else self.skip(x))
+        return h + T.transpose(self.attn(T.transpose(h, (0, 2, 1)), training, rng), (0, 2, 1))
+
+    monkeypatch.setattr(UNetStage, "__call__", transposed)
+    ref_out, ref_grads, ref_after = step()
+    assert out.tobytes() == ref_out.tobytes()
     np.testing.assert_array_equal(after, ref_after)
     assert [name for name, _ in grads] == [name for name, _ in ref_grads]
     for (name, g), (_, ref) in zip(grads, ref_grads):
