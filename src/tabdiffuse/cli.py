@@ -199,7 +199,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     """Make the [command] section of the config file the command's defaults,
     so flags given on the command line win when the arguments are parsed again."""
     path = _existing(Path(args.config), "config file")
-    sections = parse_config(path.read_text(encoding="utf-8"))
+    sections = parse_config(path.read_text(encoding="utf-8-sig"))
     unknown_sections = set(sections) - set(COMMANDS)
     if unknown_sections:
         raise UsageError(f"unknown config section(s): {sorted(unknown_sections)}")
@@ -361,17 +361,23 @@ def cmd_impute(args):
 def _parse_grid(tokens: list[str], n_features: int) -> list[MaskSpec]:
     specs: list[MaskSpec] = []
     for token in tokens:
+        malformed = UsageError(f"grid token {token!r} must look like mcar=10..90 or mar=1..4")
         if "=" not in token:
-            raise UsageError(f"grid token {token!r} must look like mcar=10..90 or mar=1..4")
+            raise malformed
         name, _, values = token.partition("=")
         name = name.strip().lower()
-        if ".." in values:
-            lo, _, hi = values.partition("..")
-            step = 10 if name == "mcar" else 1
-            points = list(range(int(lo), int(hi) + 1, step))
-        else:
-            points = [float(v) for v in values.split(",")]
+        try:
+            if ".." in values:
+                lo, _, hi = values.partition("..")
+                step = 10 if name == "mcar" else 1
+                points = list(range(int(lo), int(hi) + 1, step))
+            else:
+                points = [float(v) for v in values.split(",")]
+        except ValueError:
+            raise malformed from None
         for p in points:
+            if name == "mar" and not float(p).is_integer():
+                raise UsageError(f"grid token {token!r}: mar takes a whole number of columns")
             if name == "mcar":
                 frac = p / 100.0 if p >= 1 else float(p)
                 specs.append(MaskSpec("mcar", p_random=frac))
@@ -538,6 +544,9 @@ def cmd_benchmark(args):
 
 
 def cmd_ablate(args):
+    if args.preset != "no-tst" and args.jump_n_sample != 1:
+        raise UsageError(f"--preset {args.preset} sets the retrace depth itself; "
+                         f"drop --jump-n-sample {args.jump_n_sample}")
     opts = _from_args(SamplerOptions, args, t_sampling=args.T_sampling)
     ds = load_csv(_existing(args.data, "data file"), target_column=args.target)
     denoiser = _load_model(args.checkpoint, ds.feature_names)

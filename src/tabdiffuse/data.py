@@ -63,7 +63,7 @@ def _infer_task(values: np.ndarray) -> str:
 def load_csv(path, target_column: str | None = None) -> Dataset:
     """Parse a complete numeric table; rejects unparseable cells with location."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a spreadsheet export's BOM
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")

@@ -167,11 +167,9 @@ class TimeStepMLPBlock(Module):
         self.linear = Linear(in_dim, width, rng)
         self.dropout = Dropout(drop)
 
-    def forward(self, x, scale, shift, training, rng):
+    def __call__(self, x, scale, shift, training, rng):
         h = linear_film_relu(x, self.linear.weight, self.linear.bias, scale + 1.0, shift)
         return self.dropout(h, training, rng)
-
-    __call__ = forward
 
 
 class MLPDenoiser(Denoiser):
@@ -207,11 +205,9 @@ class ResNetBlock(Module):
         self.proj = Linear(width, width, rng)
         self.dropout = Dropout(config.residual_dropout)
 
-    def forward(self, x, scale, shift, training, rng):
+    def __call__(self, x, scale, shift, training, rng):
         h = self.body(self.norm(x, training), scale, shift, training, rng)
         return x + self.dropout(self.proj(h), training, rng)
-
-    __call__ = forward
 
 
 class ResNetDenoiser(Denoiser):
@@ -244,11 +240,9 @@ class FeatureTokenizer(Module):
         self.weight = parameter(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0))
         self.bias = parameter(nn.kaiming_uniform(rng, (k, d), fan_in=d, gain=1.0))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         B, k = x.shape
         return reshape(x, (B, k, 1)) * self.weight + self.bias
-
-    __call__ = forward
 
 
 class TransformerBlock(Module):
@@ -266,15 +260,13 @@ class TransformerBlock(Module):
         self.ffn_dropout = Dropout(config.ffn_dropout)
         self.res_dropout = Dropout(config.residual_dropout)
 
-    def forward(self, x, scale, shift, training, rng):
+    def __call__(self, x, scale, shift, training, rng):
         # Nested calls let inference free each activation as soon as it is used.
         x = x + self.res_dropout(self.attn(self.norm1(x), training, rng), training, rng)
         hidden = reglu_film(self.ffn_in(self.norm2(x)), reshape(scale, (-1, 1, self.ffn_hidden)),
                             reshape(shift, (-1, 1, self.ffn_hidden)))
         h = self.ffn_out(self.ffn_dropout(hidden, training, rng))
         return x + self.res_dropout(h, training, rng)
-
-    __call__ = forward
 
 
 class TransformerDenoiser(Denoiser):
@@ -327,7 +319,7 @@ class UNetStage(Module):
         self.skip = _Conv1d(in_ch, out_ch, rng, kernel=1) if in_ch != out_ch else None
         self.attn = MultiHeadSelfAttention(out_ch, config.heads, config.attention_dropout, rng)
 
-    def forward(self, x, t, training, rng):
+    def __call__(self, x, t, training, rng):
         scale, shift = film_pair(self.tokenizer, t)
         h = self.gn1(self.conv1(x))  # FiLM per channel, broadcast over positions
         h = silu(h * (reshape(scale, (-1, self.out_ch, 1)) + 1.0)
@@ -339,8 +331,6 @@ class UNetStage(Module):
         a = transpose(h, (0, 2, 1))
         a = self.attn(a, training, rng)
         return h + transpose(a, (0, 2, 1))
-
-    __call__ = forward
 
 
 class _Conv1d(Module):
@@ -354,12 +344,10 @@ class _Conv1d(Module):
         self.bias = parameter(bias)
         self.padding = (kernel - 1) // 2
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         from .tensor import conv1d
 
         return conv1d(x, self.weight, self.bias, padding=self.padding)
-
-    __call__ = forward
 
 
 class UNetDenoiser(Denoiser):

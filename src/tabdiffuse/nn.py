@@ -5,7 +5,7 @@ parameters; ``named_parameters`` walks the tree in construction order,
 which also fixes checkpoint layout.  Every module is built in float64;
 ``denoisers.build_denoiser`` casts a whole network to its configured dtype
 once, with :meth:`Module.cast`.  Stochastic layers (dropout) draw from
-an explicit rng passed through ``forward`` so runs stay reproducible.
+an explicit rng passed in each call so runs stay reproducible.
 """
 
 from __future__ import annotations
@@ -120,10 +120,8 @@ class Linear(Module):
         bias = np.zeros(out_dim) if rng is None else (2.0 * rng.uniform((out_dim,)) - 1.0) * bb
         self.bias = parameter(bias)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
-
-    __call__ = forward
 
 
 class Dropout(Module):
@@ -144,11 +142,9 @@ class Dropout(Module):
         keep = 1.0 - self.p
         return (rng.uniform(shape) > self.p).astype(dtype) / keep
 
-    def forward(self, x: Tensor, training: bool, rng: Rng | None) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, rng: Rng | None) -> Tensor:
         mask = self.mask(x.shape, x.data.dtype, training, rng)
         return x if mask is None else x * mask
-
-    __call__ = forward
 
 
 class BatchNorm1d(Module):
@@ -161,7 +157,7 @@ class BatchNorm1d(Module):
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
             if x.shape[0] < 2:
                 raise BatchSizeError("batch norm needs batch size >= 2 in training mode")
@@ -176,8 +172,6 @@ class BatchNorm1d(Module):
             xhat = (x - self.running_mean) * ((self.running_var + NORM_EPS) ** -0.5)
         return xhat * self.gamma + self.beta
 
-    __call__ = forward
-
 
 class LayerNorm(Module):
     def __init__(self, dim: int):
@@ -185,10 +179,8 @@ class LayerNorm(Module):
         self.gamma = parameter(np.ones(dim))
         self.beta = parameter(np.zeros(dim))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, NORM_EPS)
-
-    __call__ = forward
 
 
 class GroupNorm(Module):
@@ -202,10 +194,8 @@ class GroupNorm(Module):
         self.gamma = parameter(np.ones((channels, 1)))
         self.beta = parameter(np.zeros((channels, 1)))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return group_norm(x, self.gamma, self.beta, self.groups, NORM_EPS)
-
-    __call__ = forward
 
 
 class MultiHeadSelfAttention(Module):
@@ -222,14 +212,12 @@ class MultiHeadSelfAttention(Module):
         self.out = Linear(dim, dim, rng)
         self.attn_dropout = Dropout(attn_dropout)
 
-    def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
+    def __call__(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
         B, T, _ = x.shape
         mask = self.attn_dropout.mask((B, self.heads, T, T), x.data.dtype, training, rng)
         return attention(x, self.q.weight, self.q.bias, self.k.weight, self.k.bias,
                          self.v.weight, self.v.bias, self.out.weight, self.out.bias,
                          self.heads, mask)
-
-    __call__ = forward
 
 
 # -- time conditioning ------------------------------------------------------------
@@ -266,7 +254,7 @@ class TimeStepTokenizer(Module):
         self.lin2 = Linear(d, d, rng)
         self.lin3 = Linear(d, d, rng)
 
-    def forward(self, t) -> Tensor:
+    def __call__(self, t) -> Tensor:
         """t: int array (batch,); returns embedding of shape (batch, 2*kprime)."""
         t = np.atleast_1d(np.asarray(t))
         dtype = self.lin1.weight.data.dtype
@@ -275,8 +263,6 @@ class TimeStepTokenizer(Module):
         sin, cos = sinusoid_embed(t, self.kprime)
         h = Tensor(np.concatenate([sin, cos], axis=-1).astype(dtype))
         return self.lin3(silu(self.lin2(gelu(self.lin1(h)))))
-
-    __call__ = forward
 
     def split(self, t_emb: Tensor) -> tuple[Tensor, Tensor]:
         """(scale, shift) halves of a tokenized embedding."""

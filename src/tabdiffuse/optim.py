@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, tmean, where_mask
+from .tensor import Tensor, tmean, where_mask
 
 
-def smooth_l1(pred: Tensor, target, beta: float = 1.0) -> Tensor:
+def smooth_l1(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
     """Mean smooth-L1 (Huber-style) loss.
 
     Per element, with d = target - pred: 0.5 d^2 / beta when |d| < beta,
@@ -17,8 +17,6 @@ def smooth_l1(pred: Tensor, target, beta: float = 1.0) -> Tensor:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    pred = as_tensor(pred)
-    target = as_tensor(target)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     d = target - pred

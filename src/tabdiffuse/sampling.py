@@ -4,7 +4,8 @@ The sampler walks a step plan (reverse traversal of a skip subset, with
 optional retrace jumps) over a masked table.  On every denoising step the
 known region is re-sampled by forward-diffusing the observations to the
 target level, the unknown region is advanced by the one reverse step,
-``impute_ddim_step``, and the two are blended by the mask.  On the full plan
+``impute_ddim_step``, and the mask picks each entry from one of the two
+(the blend m * known + (1 - m) * unknown with m in {0, 1}).  On the full plan
 (every step of the axis) with eta = 1 that step is the ancestral DDPM step,
 and its last step, to level 0, adds no noise.  Retrace entries in the plan
 re-noise the whole state forward.  The final output carries the raw observed
@@ -130,14 +131,6 @@ def _clip_state_estimate(
     return (x_t - math.sqrt(abar) * x0_hat) / math.sqrt(1.0 - abar)
 
 
-def combine(known: np.ndarray, unknown: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mask-blend: known entries from ``known``, the rest from ``unknown``."""
-    if known.shape != unknown.shape or known.shape != mask.shape:
-        raise ValueError("combine requires matching shapes")
-    m = mask.astype(known.dtype)
-    return m * known + (1.0 - m) * unknown
-
-
 def harmonize_jump(
     sched: DiffusionSchedule, x: np.ndarray, from_level: int, to_level: int, eps: np.ndarray
 ) -> np.ndarray:
@@ -247,7 +240,7 @@ def impute(
     top = plan.ts[0]
     # Fixed draw order per step keeps each walk's noise stream identical across
     # eta values and stackings: known-region noise first, then the step noise.
-    x = combine(noisy_known(sched, x0, top + 1, normal()), normal(), mask)
+    x = np.where(mask, noisy_known(sched, x0, top + 1, normal()), normal())
     if on_step is not None:
         on_step(top, x)
     # a step's short-lived arrays grow with the network: size the kept heap by its weights
@@ -263,7 +256,7 @@ def impute(
                 unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, eta, step_noise,
                                            clip_x0=CLIP_X0)
                 known = noisy_known(sched, x0, b + 1, eps_known)
-                x = combine(known, unknown, mask)
+                x = np.where(mask, known, unknown)
             else:  # retrace: re-noise the whole state from level a+1 up to b+1
                 x = harmonize_jump(sched, x, a + 1, b + 1, normal())
             if on_step is not None:

@@ -8,6 +8,10 @@ into the ``grad`` slot of every leaf created with ``requires_grad=True``.
 Only the operations this project's networks need are implemented; every
 public operation validates that its result is finite and raises
 :class:`NumericError` otherwise.
+
+Every tensor operand is a Tensor.  A constant operand (a Python scalar or a
+numpy array) enters only through ``add`` and ``mul``, and so ``+``, ``-``
+and ``*``, which wrap it in the other operand's dtype.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import math
 from contextvars import ContextVar
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -229,10 +233,6 @@ class Tensor:
         return absolute(self)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _like(x, ref: Tensor) -> Tensor:
     """``x`` as a Tensor; a constant takes ``ref``'s dtype.
 
@@ -247,7 +247,6 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     """Both operands of a binary op as Tensors, constants in the other's dtype."""
     if isinstance(a, Tensor):
         return a, _like(b, a)
-    b = as_tensor(b)
     return _like(a, b), b
 
 
@@ -282,7 +281,6 @@ def mul(a, b) -> Tensor:
 
 
 def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
     with np.errstate(divide="ignore"):
         data = a.data**exponent
 
@@ -293,7 +291,6 @@ def power(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data @ b.data
 
     def backward(g, _a=a, _b=b):
@@ -310,7 +307,6 @@ def linear(x, weight, bias) -> Tensor:
     All leading axes of ``x`` are folded into rows, so a (batch, tokens, in)
     input costs a single BLAS call instead of one per batch entry.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, weight.shape[0])
     out = x2 @ weight.data
@@ -335,7 +331,6 @@ def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str) -> Tensor:
     backward pass is the closed form
     r * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)), g_hat = g * gamma.
     """
-    gamma, beta = as_tensor(gamma), as_tensor(beta)
     xv = x.data.reshape(view)
     inv_n = 1.0 / float(xv.shape[-1])
     xhat = xv - xv.sum(axis=-1, keepdims=True) * inv_n
@@ -366,14 +361,12 @@ def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str) -> Tensor:
 
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     """Normalize over the last axis, then scale by ``gamma`` and shift by ``beta``."""
-    x = as_tensor(x)
     return _normalized(x, gamma, beta, x.shape, eps, "layer_norm")
 
 
 def group_norm(x, gamma, beta, groups: int, eps: float) -> Tensor:
     """Normalize (batch, channels, length) over channel groups, then scale by
     ``gamma`` and shift by ``beta``, both (channels, 1)."""
-    x = as_tensor(x)
     return _normalized(x, gamma, beta, (x.shape[0], groups, -1), eps, "group_norm")
 
 
@@ -388,8 +381,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, drop_mask=None) -> 
     produces is checked; exp(s - max) is at most 1, so the softmax needs no
     check of its own.
     """
-    params = tuple(as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
-    x, wq, bq, wk, bk, wv, bv, wo, bo = params
+    params = (x, wq, bq, wk, bk, wv, bv, wo, bo)
     B, T, d = x.shape
     hd = d // heads
     x2 = x.data.reshape(-1, d)
@@ -456,8 +448,6 @@ def reglu_film(u, scale, shift) -> Tensor:
     ``scale`` and ``shift`` broadcast against one half.  The arithmetic order
     is the composed chain's, so the forward values are the same bits.
     """
-    u = as_tensor(u)
-    scale, shift = _like(scale, u), _like(shift, u)
     h = u.shape[-1] // 2
     if scale.shape[-1] != h or shift.shape[-1] != h or u.shape[-1] != 2 * h:
         raise ValueError(f"modulation dim {scale.shape[-1]} does not match features {h}")
@@ -495,8 +485,6 @@ def linear_film_relu(x, weight, bias, scale1, shift) -> Tensor:
     of finite operands keeps a non-finite value non-finite, while relu(-inf)
     would be 0.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    scale1, shift = _like(scale1, x), _like(shift, x)
     width = weight.shape[1]
     if scale1.shape[-1] != width or shift.shape[-1] != width:
         raise ValueError(f"modulation dim {scale1.shape[-1]} does not match features {width}")
@@ -529,7 +517,6 @@ def linear_film_relu(x, weight, bias, scale1, shift) -> Tensor:
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g, _a=a, _axis=axis, _keep=keepdims):
@@ -541,7 +528,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
     if axis is None:
         n = a.data.size
     else:
@@ -550,7 +536,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
     data = a.data.reshape(shape)
 
     def backward(g, _a=a):
@@ -560,7 +545,6 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
     data = a.data.transpose(axes)
     inv = tuple(np.argsort(axes))
 
@@ -571,7 +555,6 @@ def transpose(a, axes) -> Tensor:
 
 
 def take(a, key) -> Tensor:
-    a = as_tensor(a)
     data = a.data[key]
 
     def backward(g, _a=a, _key=key):
@@ -582,8 +565,7 @@ def take(a, key) -> Tensor:
     return Tensor._from_op(np.asarray(data), (a,), backward, "take")
 
 
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+def concat(ts: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
     offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
 
@@ -602,7 +584,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
     data = np.maximum(a.data, 0.0)
 
     def backward(g, _a=a):
@@ -612,7 +593,6 @@ def relu(a) -> Tensor:
 
 
 def absolute(a) -> Tensor:
-    a = as_tensor(a)
     data = np.abs(a.data)
 
     def backward(g, _a=a):
@@ -622,7 +602,6 @@ def absolute(a) -> Tensor:
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
     data = np.exp(a.data)
 
     def backward(g, _out=data):
@@ -633,7 +612,6 @@ def exp(a) -> Tensor:
 
 def silu(a) -> Tensor:
     """x * sigmoid(x)."""
-    a = as_tensor(a)
     # exp(-|x|) never overflows, so both branches are safe to evaluate.
     e = np.exp(-np.abs(a.data))
     s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -650,7 +628,6 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
-    a = as_tensor(a)
     x = a.data
     inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
@@ -666,7 +643,6 @@ def gelu(a) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    a = as_tensor(a)
     shift = np.max(a.data, axis=axis, keepdims=True)  # constant; softmax is shift-invariant
     e = exp(add(a, -shift))
     return mul(e, power(tsum(e, axis=axis, keepdims=True), -1.0))
@@ -674,9 +650,8 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def where_mask(mask: np.ndarray, a, b) -> Tensor:
     """Blend two tensors with a constant boolean mask (True selects ``a``)."""
-    a = as_tensor(a)
     m = np.asarray(mask).astype(a.data.dtype)
-    return add(mul(a, m), mul(as_tensor(b), 1.0 - m))
+    return add(mul(a, m), mul(b, 1.0 - m))
 
 
 # -- conv1d (stride 1) ----------------------------------------------------
@@ -690,7 +665,6 @@ def conv1d(x, weight, bias, padding: int = 1) -> Tensor:
     into a (batch * length, channels * kernel) matrix, so the forward pass and
     both weight-side gradients are each one GEMM.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     B, C, L = x.shape
     O, _, K = weight.shape
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))

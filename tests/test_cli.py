@@ -364,6 +364,22 @@ def test_config_file_defaults_and_unknown_key(workdir, tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
+def test_utf8_bom_is_not_part_of_the_first_name(workdir, tmp_path, capsys):
+    """Spreadsheet exports start a file with a UTF-8 byte-order mark; it reaches
+    neither the first column's name nor the config file's first line."""
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + (workdir / "data.csv").read_bytes())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf[impute]\nmcar = 0.3\nT-sampling = 20\nn-inferences = 1\n")
+    rc = main([
+        "impute", "--config", str(cfg), "--checkpoint", str(workdir / "run" / "checkpoint.ckpt"),
+        "--data", str(data), "--out", str(tmp_path / "o.csv"),
+    ])
+    assert rc == 0
+    assert "plan steps: 20, inferences: 1" in capsys.readouterr().err
+    assert load_csv(tmp_path / "o.csv").feature_names == ("f1", "f2")
+
+
 def test_parse_config_format():
     sections = parse_config("# comment\n[train]\nepochs = 5\nseed = 2\n[impute]\ntau = 10\n")
     assert sections == {"train": {"epochs": "5", "seed": "2"}, "impute": {"tau": "10"}}
@@ -836,6 +852,15 @@ def misfit_tables(workdir):
       "{work}/run/checkpoint.ckpt", "--eta", "1.5"], "eta=1.5 makes the direction term negative"),
     (["impute", "--checkpoint", "{work}/run/checkpoint.ckpt", "--mcar", "0.3", "--tau", "50",
       "--eta", "3"], "eta=3.0 makes the direction term negative"),
+    # flags a run would otherwise drop or truncate without saying so
+    (["ablate", "--checkpoint", "{work}/run/checkpoint.ckpt", "--preset", "harmonization",
+      "--jump-n-sample", "3"], "--preset harmonization sets the retrace depth itself"),
+    (["ablate", "--checkpoint", "{work}/run/checkpoint.ckpt", "--preset", "tau-sweep",
+      "--jump-n-sample", "2"], "--preset tau-sweep sets the retrace depth itself"),
+    (["benchmark", "--methods", "mean", "--grid", "mar=1.5"],
+     "grid token 'mar=1.5': mar takes a whole number of columns"),
+    (["benchmark", "--methods", "mean", "--grid", "mar=0.5..1"],
+     "grid token 'mar=0.5..1' must look like"),
 ], ids=["jobs", "baseline-only-n-inferences", "n-mask-seeds", "checkpoint-every",
         "grid-mcar-100", "grid-mar-every-column", "fewer-rows-than-a-batch",
         "resnet-one-row-tail", "unknown-method", "missing-checkpoint", "non-finite-target",
@@ -844,7 +869,9 @@ def misfit_tables(workdir):
         "mlp-hidden-0", "resnet-hidden-0", "two-checkpoints-one-method",
         "checkpoint-not-in-methods", "grid-setting-twice", "method-twice", "lr-negative",
         "lr-0", "weight-decay-negative", "weight-decay-nan", "beta-l1-nan", "beta-l1-inf",
-        "skip-step-eta-nan", "dense-eta-nan", "benchmark-eta-1.5", "skip-step-eta-3"])
+        "skip-step-eta-nan", "dense-eta-nan", "benchmark-eta-1.5", "skip-step-eta-3",
+        "harmonization-jump-n-sample", "tau-sweep-jump-n-sample", "grid-mar-fraction",
+        "grid-range-fraction"])
 def test_count_flags_below_one_exit_2_before_writing(misfit_tables, tmp_path, capsys,
                                                      monkeypatch, flags, message):
     """Each of these exits 2 before any output is written: the run leaves no

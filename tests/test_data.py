@@ -29,6 +29,14 @@ def test_load_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(ds.features, values)
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "export.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,0\n2,1\n3,0\n")
+    ds = load_csv(path, target_column="a")
+    assert ds.feature_names == ("b",)
+    np.testing.assert_array_equal(ds.target, [1, 2, 3])
+
+
 def test_load_csv_reports_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,2.0\n3.0,oops\n")

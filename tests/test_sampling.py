@@ -10,7 +10,6 @@ from tabdiffuse.sampling import (
     MaskedTable,
     SamplerOptions,
     build_plan,
-    combine,
     harmonize_jump,
     impute,
     impute_ddim_step,
@@ -95,17 +94,6 @@ def test_ddpm_step_formula_oracle():
     expect = ancestral_step(sched, x, t, eps_hat, noise)
     np.testing.assert_allclose(impute_ddim_step(sched, x, t, t - 1, eps_hat, 1.0, noise), expect,
                                atol=1e-14)
-
-
-def test_combine_cases():
-    known = np.full((2, 2), 1.0)
-    unknown = np.full((2, 2), 9.0)
-    np.testing.assert_array_equal(combine(known, unknown, np.ones((2, 2))), known)
-    np.testing.assert_array_equal(combine(known, unknown, np.zeros((2, 2))), unknown)
-    m = np.array([[1, 0], [0, 1]], dtype=float)
-    np.testing.assert_array_equal(combine(known, unknown, m), np.array([[1, 9], [9, 1]]))
-    with pytest.raises(ValueError):
-        combine(known, unknown, np.ones((3, 2)))
 
 
 def test_harmonize_back_identity_limit():
@@ -406,19 +394,3 @@ def test_feature_count_mismatch_rejected():
 def test_dense_quad_subset_rejected_with_clear_message():
     with pytest.raises(ValueError, match="strictly ascending"):
         SamplerOptions(t_sampling=500, tau=400, skip_type="quad")
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
-@given(seed=st.integers(0, 10_000), p=st.floats(0.1, 0.9))
-@settings(max_examples=40, deadline=None)
-def test_combine_partitions_every_entry(seed, p):
-    rng = Rng(seed)
-    known = rng.normal((5, 3))
-    unknown = rng.normal((5, 3))
-    mask = rng.uniform((5, 3)) > p
-    out = combine(known, unknown, mask)
-    np.testing.assert_array_equal(out[mask], known[mask])
-    np.testing.assert_array_equal(out[~mask], unknown[~mask])

@@ -341,7 +341,8 @@ def test_reglu_film_kernel_gradients():
 
 def test_reglu_film_rejects_mismatched_modulation():
     with pytest.raises(ValueError, match="modulation dim"):
-        T.reglu_film(np.zeros((1, 2, 8)), np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+        T.reglu_film(Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((1, 1, 3))),
+                     Tensor(np.zeros((1, 1, 3))))
 
 
 def test_linear_film_relu_kernel_gradients():
@@ -358,8 +359,8 @@ def test_linear_film_relu_kernel_gradients():
 
 def test_linear_film_relu_rejects_mismatched_modulation():
     with pytest.raises(ValueError, match="modulation dim"):
-        T.linear_film_relu(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4), np.ones((1, 5)),
-                           np.zeros((1, 5)))
+        T.linear_film_relu(*map(Tensor, (np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4),
+                                         np.ones((1, 5)), np.zeros((1, 5)))))
 
 
 def test_layer_norm_forward_is_bitwise_the_composed_chain():
@@ -534,23 +535,26 @@ def test_conv1d_forward_matches_einsum(kernel):
 def test_fused_ops_reject_nonfinite_output(op):
     big = 1e308
     # attention: q and k are finite (1e200), their scores overflow
-    eye, zero = np.eye(2), np.zeros(2)
+    eye, zero = Tensor(np.eye(2)), Tensor(np.zeros(2))
     call = {
-        "linear": lambda: T.linear(np.full((2, 3), big), np.full((3, 2), big), np.zeros(2)),
-        "layer_norm": lambda: T.layer_norm(np.array([[big, -big, big]]), np.ones(3),
-                                           np.zeros(3), 1e-5),
-        "conv1d": lambda: T.conv1d(np.full((1, 2, 4), big), np.full((3, 2, 3), big),
-                                   np.zeros(3)),
-        "group_norm": lambda: T.group_norm(np.array([[[big, -big], [big, -big]]]),
-                                           np.ones((2, 1)), np.zeros((2, 1)), 1, 1e-5),
-        "attention": lambda: T.attention(np.full((1, 2, 2), 1e200), eye, zero, eye, zero,
-                                         eye, zero, eye, zero, 1),
-        "reglu_film": lambda: T.reglu_film(np.full((1, 2, 4), 1e200), np.zeros((1, 1, 2)),
-                                           np.zeros((1, 1, 2))),
+        "linear": lambda: T.linear(*map(Tensor, (np.full((2, 3), big), np.full((3, 2), big),
+                                                 np.zeros(2)))),
+        "layer_norm": lambda: T.layer_norm(*map(Tensor, (np.array([[big, -big, big]]),
+                                                         np.ones(3), np.zeros(3))), 1e-5),
+        "conv1d": lambda: T.conv1d(*map(Tensor, (np.full((1, 2, 4), big),
+                                                 np.full((3, 2, 3), big), np.zeros(3)))),
+        "group_norm": lambda: T.group_norm(*map(Tensor, (np.array([[[big, -big], [big, -big]]]),
+                                                         np.ones((2, 1)), np.zeros((2, 1)))),
+                                           1, 1e-5),
+        "attention": lambda: T.attention(Tensor(np.full((1, 2, 2), 1e200)), eye, zero, eye,
+                                         zero, eye, zero, eye, zero, 1),
+        "reglu_film": lambda: T.reglu_film(*map(Tensor, (np.full((1, 2, 4), 1e200),
+                                                         np.zeros((1, 1, 2)),
+                                                         np.zeros((1, 1, 2))))),
         # -inf before the ReLU, which would turn it into 0
-        "linear_film_relu": lambda: T.linear_film_relu(np.full((2, 3), big),
-                                                       np.full((3, 2), -big), np.zeros(2),
-                                                       np.ones((1, 2)), np.zeros((1, 2))),
+        "linear_film_relu": lambda: T.linear_film_relu(
+            *map(Tensor, (np.full((2, 3), big), np.full((3, 2), -big), np.zeros(2),
+                          np.ones((1, 2)), np.zeros((1, 2))))),
     }[op]
     with pytest.raises(NumericError, match=op):
         call()
@@ -561,7 +565,7 @@ def test_fused_ops_reject_nonfinite_output(op):
 
 def test_grad_mode_and_sink_are_per_thread():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(6, 4))
+    x = Tensor(rng.normal(size=(6, 4)))
     w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(3,))
 
     def grads():
