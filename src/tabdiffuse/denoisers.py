@@ -31,7 +31,7 @@ from .nn import (
     TimeStepTokenizer,
 )
 from .rng import Rng
-from .tensor import (Tensor, concat, linear_film_relu, parameter, reglu_film, relu, reshape, silu,
+from .tensor import (Tensor, concat, linear_film_relu, parameter, reglu_film, relu, reshape,
                      transpose)
 
 ARCHITECTURES = ("mlp", "resnet", "transformer", "unet")
@@ -321,10 +321,10 @@ class UNetStage(Module):
 
     def __call__(self, x, t, training, rng):
         scale, shift = film_pair(self.tokenizer, t)
-        h = self.gn1(self.conv1(x))  # FiLM per channel, broadcast over positions
-        h = silu(h * (reshape(scale, (-1, self.out_ch, 1)) + 1.0)
-                 + reshape(shift, (-1, self.out_ch, 1)))
-        h = silu(self.gn2(self.conv2(h)))
+        c = self.out_ch  # FiLM per channel, broadcast over positions
+        film = (reshape(scale, (-1, c, 1)) + 1.0, reshape(shift, (-1, c, 1)))
+        h = self.gn1(self.conv1(x), film, silu=True)
+        h = self.gn2(self.conv2(h), silu=True)
         res = x if self.skip is None else self.skip(x)
         h = h + res
         # attention over positions with channels as token features

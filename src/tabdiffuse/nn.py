@@ -139,8 +139,9 @@ class Dropout(Module):
             return None
         if rng is None:
             raise ValueError("training-mode dropout requires an rng")
-        keep = 1.0 - self.p
-        return (rng.uniform(shape) > self.p).astype(dtype) / keep
+        mask = (rng.uniform(shape) > self.p).astype(dtype)
+        mask /= 1.0 - self.p
+        return mask
 
     def __call__(self, x: Tensor, training: bool, rng: Rng | None) -> Tensor:
         mask = self.mask(x.shape, x.data.dtype, training, rng)
@@ -194,8 +195,9 @@ class GroupNorm(Module):
         self.gamma = parameter(np.ones((channels, 1)))
         self.beta = parameter(np.zeros((channels, 1)))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return group_norm(x, self.gamma, self.beta, self.groups, NORM_EPS)
+    def __call__(self, x: Tensor, film=None, silu: bool = False) -> Tensor:
+        """See ``tensor.group_norm`` for the FiLM and SiLU epilogues."""
+        return group_norm(x, self.gamma, self.beta, self.groups, NORM_EPS, film, silu)
 
 
 class MultiHeadSelfAttention(Module):

@@ -322,14 +322,17 @@ def linear(x, weight, bias) -> Tensor:
     return Tensor._from_op(data, (x, weight, bias), backward, "linear")
 
 
-def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str) -> Tensor:
-    """xhat * gamma + beta, xhat being ``x`` normalized over the last axis of
-    ``x.reshape(view)``; gamma and beta broadcast against ``x``.
+def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str, film=None,
+                silu: bool = False) -> Tensor:
+    """h = xhat * gamma + beta, xhat being ``x`` normalized over the last axis
+    of ``x.reshape(view)``; then h * scale1 + shift for ``film=(scale1, shift)``,
+    and SiLU if ``silu``.  All operands broadcast against ``x``.
 
-    The forward pass keeps the arithmetic order of the composed
-    mean / subtract / variance chain, so its values are the same bits; the
-    backward pass is the closed form
-    r * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)), g_hat = g * gamma.
+    The forward pass keeps the arithmetic order of the composed chain, so its
+    values are the same bits, and one output check stands for the chain's:
+    products, sums and SiLU keep a non-finite value non-finite.  The backward
+    pass takes SiLU's and FiLM's gradients as the chain did, then the closed
+    form r * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)), g_hat = g * gamma.
     """
     xv = x.data.reshape(view)
     inv_n = 1.0 / float(xv.shape[-1])
@@ -338,11 +341,22 @@ def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str) -> Tensor:
     _check_finite(var, op)  # an overflowed variance would zero the row, not poison it
     r = (var + eps) ** -0.5
     xhat *= r
-    data = xhat.reshape(x.shape) * gamma.data
-    data += beta.data
+    h = xhat.reshape(x.shape) * gamma.data
+    h += beta.data
+    pre = h if film is None else h * film[0].data + film[1].data
+    s = _sigmoid(pre) if silu else None
+    data = pre * s if silu else pre
 
-    def backward(g, _x=x, _gamma=gamma, _beta=beta, _xhat=xhat, _r=r):
+    def backward(g, _x=x, _gamma=gamma, _beta=beta, _xhat=xhat, _r=r, _h=h, _pre=pre, _s=s):
         gx = gg = gb = None
+        if _s is not None:
+            g = _silu_grad(g, _pre, _s)
+        shares = ()
+        if film is not None:
+            scale1, shift = film
+            shares = (_unbroadcast(g * _h, scale1.shape) if scale1.requires_grad else None,
+                      _unbroadcast(g, shift.shape) if shift.requires_grad else None)
+            g = g * scale1.data
         if _x.requires_grad:
             gh = (g * _gamma.data).reshape(view)
             gx = gh - gh.mean(axis=-1, keepdims=True)
@@ -354,9 +368,9 @@ def _normalized(x: Tensor, gamma, beta, view, eps: float, op: str) -> Tensor:
             gg = _unbroadcast(g * _xhat.reshape(g.shape), _gamma.shape)
         if _beta.requires_grad:
             gb = _unbroadcast(g, _beta.shape)
-        return gx, gg, gb
+        return gx, gg, gb, *shares
 
-    return Tensor._from_op(data, (x, gamma, beta), backward, op)
+    return Tensor._from_op(data, (x, gamma, beta, *(film or ())), backward, op)
 
 
 def layer_norm(x, gamma, beta, eps: float) -> Tensor:
@@ -364,10 +378,11 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     return _normalized(x, gamma, beta, x.shape, eps, "layer_norm")
 
 
-def group_norm(x, gamma, beta, groups: int, eps: float) -> Tensor:
+def group_norm(x, gamma, beta, groups: int, eps: float, film=None, silu: bool = False) -> Tensor:
     """Normalize (batch, channels, length) over channel groups, then scale by
-    ``gamma`` and shift by ``beta``, both (channels, 1)."""
-    return _normalized(x, gamma, beta, (x.shape[0], groups, -1), eps, "group_norm")
+    ``gamma`` and shift by ``beta``, both (channels, 1); ``film`` and ``silu``
+    add the U-Net stage's FiLM (per channel, over L) and SiLU to the node."""
+    return _normalized(x, gamma, beta, (x.shape[0], groups, -1), eps, "group_norm", film, silu)
 
 
 def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, drop_mask=None) -> Tensor:
@@ -400,7 +415,11 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, drop_mask=None) -> 
         q = k = None
     scale = 1.0 / math.sqrt(hd)
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
+    # each row's max, one token column at a time: exact, and cheaper than max(axis=-1)
+    top = probs[..., 0].copy()
+    for j in range(1, T):
+        np.maximum(top, probs[..., j], out=top)
+    probs -= top[..., None]
     np.exp(probs, out=probs)
     probs *= probs.sum(axis=-1, keepdims=True) ** -1.0
     # the backward pass needs the probabilities before dropout
@@ -610,15 +629,31 @@ def exp(a) -> Tensor:
     return Tensor._from_op(data, (a,), backward, "exp")
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + e) where a >= 0, else e / (1 + e); e = exp(-|a|) never overflows."""
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    s = np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=s, where=a >= 0)
+
+
+def _silu_grad(g: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g * (s + a * s * (1 - s)), SiLU's input gradient, s = sigmoid(a), in one buffer."""
+    gs = a * s
+    gs *= 1.0 - s
+    gs += s
+    return np.multiply(gs, g, out=gs)
+
+
 def silu(a) -> Tensor:
     """x * sigmoid(x)."""
-    # exp(-|x|) never overflows, so both branches are safe to evaluate.
-    e = np.exp(-np.abs(a.data))
-    s = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = _sigmoid(a.data)
     data = a.data * s
 
     def backward(g, _a=a, _s=s):
-        return (g * (_s + _a.data * _s * (1.0 - _s)),)
+        return (_silu_grad(g, _a.data, _s),)
 
     return Tensor._from_op(data, (a,), backward, "silu")
 
@@ -661,16 +696,22 @@ def conv1d(x, weight, bias, padding: int = 1) -> Tensor:
     """1D convolution over (batch, channels, length), stride 1.
 
     ``weight`` is (out_channels, in_channels, kernel); output length equals
-    input length when padding = (kernel - 1) // 2.  The windows are unrolled
-    into a (batch * length, channels * kernel) matrix, so the forward pass and
-    both weight-side gradients are each one GEMM.
+    input length when padding = (kernel - 1) // 2.  The windows are gathered,
+    one slice copy per tap, into a (batch * length, channels * kernel) matrix
+    that holds zeros only at the padding, so the forward pass and both
+    weight-side gradients are each one GEMM.
     """
     B, C, L = x.shape
     O, _, K = weight.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     Lout = L + 2 * padding - K + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)  # (B, C, Lout, K)
-    cols = windows.transpose(0, 2, 1, 3).reshape(B * Lout, C * K)
+    cols = np.empty((B, Lout, C, K), dtype=x.data.dtype)
+    xt = x.data.transpose(0, 2, 1)
+    for k in range(K):  # tap k reads x at position l + k - padding
+        lo, hi = max(0, padding - k), min(Lout, L + padding - k)
+        cols[:, :lo, :, k] = 0.0
+        cols[:, hi:, :, k] = 0.0
+        cols[:, lo:hi, :, k] = xt[:, lo + k - padding : hi + k - padding]
+    cols = cols.reshape(B * Lout, C * K)
     w2 = weight.data.reshape(O, C * K)
     out = cols @ w2.T
     out += bias.data
@@ -682,9 +723,10 @@ def conv1d(x, weight, bias, padding: int = 1) -> Tensor:
         gx = None
         if _x.requires_grad:
             gcols = (g2 @ _w.data.reshape(O, C * K)).reshape(B, Lout, C, K)
+            # taps 0..K-1 add onto zeros through a (batch, length, channels) view
             gxp = np.zeros((B, C, L + 2 * padding), dtype=_x.data.dtype)
             for k in range(K):
-                gxp[:, :, k : k + Lout] += gcols[:, :, :, k].transpose(0, 2, 1)
+                gxp.transpose(0, 2, 1)[:, k : k + Lout] += gcols[:, :, :, k]
             gx = gxp[:, :, padding : padding + L]
         return (gx,
                 (g2.T @ _cols).reshape(O, C, K) if _w.requires_grad else None,

@@ -100,6 +100,13 @@ def test_dropout_training_mean_matches_eval():
     assert np.all(np.abs(avg - x) <= 3 * sigma + 1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dropout_mask_is_the_scaled_keep_mask(dtype):
+    mask = Dropout(0.3).mask((5, 7), dtype, True, Rng(4))
+    expect = (Rng(4).uniform((5, 7)) > 0.3).astype(dtype) / (1.0 - 0.3)
+    assert mask.dtype == dtype and mask.tobytes() == expect.tobytes()
+
+
 def test_dropout_needs_rng_in_training():
     with pytest.raises(ValueError):
         Dropout(0.5)(Tensor(np.ones(3)), training=True, rng=None)

@@ -104,6 +104,88 @@ def test_adamw_shape_mismatch_rejected():
         opt.step()
 
 
+def test_adamw_failed_step_changes_nothing():
+    # every gradient is checked before any buffer is written
+    a, b = parameter(np.array([1.0, 2.0])), parameter(np.array([3.0, 4.0]))
+    opt = AdamW({"a": a, "b": b}, lr=0.1)
+    a.grad, b.grad = np.ones(2), np.zeros(3)
+    with pytest.raises(ValueError, match="gradient shape mismatch for b"):
+        opt.step()
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    assert opt.step_count == 0
+    # retried with a good gradient, the step is a first step
+    b.grad = np.ones(2)
+    opt.step()
+    a2, b2 = parameter(np.array([1.0, 2.0])), parameter(np.array([3.0, 4.0]))
+    fresh = AdamW({"a": a2, "b": b2}, lr=0.1)
+    a2.grad, b2.grad = np.ones(2), np.ones(2)
+    fresh.step()
+    assert a.data.tobytes() == a2.data.tobytes() and b.data.tobytes() == b2.data.tobytes()
+
+
+def test_adamw_rejects_a_parameter_that_left_its_buffer_and_mixed_dtypes():
+    p = parameter(np.array([1.0, 2.0]))
+    opt = AdamW({"w": p})
+    p.data = np.array([1.0, 2.0])
+    p.grad = np.ones(2)
+    with pytest.raises(ValueError, match="no longer views"):
+        opt.step()
+    with pytest.raises(ValueError, match="one dtype"):
+        AdamW({"a": parameter(np.zeros(2)), "b": Tensor(np.zeros(2, np.float32), True)})
+
+
+class _PerTensorAdamW:
+    """The per-tensor AdamW the flat one replaced: moments made on a
+    parameter's first gradient, twelve numpy calls per tensor."""
+
+    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.wd = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t, self.m, self.v = 0, {}, {}
+
+    def step(self, grads):
+        self.t += 1
+        bc1, bc2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        for name, p in self.params.items():
+            g = grads[name]
+            if g is None:
+                continue
+            m = self.m.setdefault(name, np.zeros_like(p))
+            v = self.v.setdefault(name, np.zeros_like(p))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
+            p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.wd * p)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_flat_adamw_is_bitwise_the_per_tensor_update(dtype):
+    # "t" has no gradient for three steps (a tokenizer under --no-time-embedding):
+    # its weight must not move, nor its moments, which its later steps read
+    rng = np.random.default_rng(21)
+    shapes = {"w": (4, 3), "b": (3,), "t": (2, 5), "gamma": (3, 1)}
+    init = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    params = {k: parameter(a.copy()) for k, a in init.items()}
+    ref = _PerTensorAdamW({k: a.copy() for k, a in init.items()}, lr=0.05, weight_decay=0.01)
+    opt = AdamW(params, lr=0.05, weight_decay=0.01)
+    for step in range(6):
+        grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        if step < 3:
+            grads["t"] = None
+        for k, p in params.items():
+            p.grad = None if grads[k] is None else grads[k].copy()
+        assert opt.step() == (3 if step < 3 else 4)
+        ref.step(grads)
+        for k, p in params.items():
+            assert p.data.dtype == dtype and p.data.shape == shapes[k]
+            assert p.data.tobytes() == ref.params[k].tobytes(), (step, k)
+        if step < 3:
+            assert params["t"].data.tobytes() == init["t"].tobytes()
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -322,6 +322,19 @@ def test_group_norm_kernel_gradients():
                     [x, gamma, beta])
 
 
+@pytest.mark.parametrize("film", [False, True], ids=["silu", "film_silu"])
+def test_group_norm_epilogue_gradients(film):
+    rng = np.random.default_rng(25)
+    x = parameter(rng.normal(1.0, 2.0, size=(2, 4, 5)))
+    gamma, beta = parameter(rng.normal(size=(4, 1))), parameter(rng.normal(size=(4, 1)))
+    pair = (parameter(rng.normal(1.0, 0.5, size=(2, 4, 1))),
+            parameter(rng.normal(size=(2, 4, 1)))) if film else None
+    target = rng.normal(size=(2, 4, 5))
+    check_gradients(
+        lambda: ((T.group_norm(x, gamma, beta, 2, 1e-5, pair, silu=True) - target) ** 2.0).mean(),
+        [x, gamma, beta, *(pair or ())])
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "dropout_mask"])
 def test_attention_kernel_gradients(masked):
     rng = np.random.default_rng(10)
@@ -504,6 +517,81 @@ def test_transformer_training_step_matches_composed_attention(monkeypatch):
     ref_loss, ref_after = step()
     np.testing.assert_array_equal(after, ref_after)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+
+
+def _padded_window_conv1d(x, w, b, g, padding):
+    """The np.pad + sliding_window_view conv1d that the gathering one
+    replaced: its output, and its gradients for the output gradient ``g``."""
+    B, C, L = x.shape
+    O, _, K = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    Lout = L + 2 * padding - K + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)
+    cols = windows.transpose(0, 2, 1, 3).reshape(B * Lout, C * K)
+    out = cols @ w.reshape(O, C * K).T
+    out += b
+    out = np.ascontiguousarray(out.reshape(B, Lout, O).transpose(0, 2, 1))
+    g2 = g.transpose(0, 2, 1).reshape(B * Lout, O)
+    gcols = (g2 @ w.reshape(O, C * K)).reshape(B, Lout, C, K)
+    gxp = np.zeros((B, C, L + 2 * padding), dtype=x.dtype)
+    for k in range(K):
+        gxp[:, :, k : k + Lout] += gcols[:, :, :, k].transpose(0, 2, 1)
+    return out, gxp[:, :, padding : padding + L], (g2.T @ cols).reshape(O, C, K), g2.sum(axis=0)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("kernel,padding", [(1, 0), (3, 1), (5, 2), (3, 0), (1, 1)])
+def test_conv1d_is_bitwise_the_padded_window_composition(kernel, padding, dtype):
+    # the U-Net's shapes: 64 rows, 10 positions; zero inputs pin the signed zeros
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(64, 16, 10)).astype(dtype)
+    x[:, :, 3] = -0.0
+    w = rng.normal(size=(32, 16, kernel)).astype(dtype)
+    b = rng.normal(size=(32,)).astype(dtype)
+    xt, wt, bt = parameter(x), parameter(w), parameter(b)
+    out = T.conv1d(xt, wt, bt, padding=padding)
+    g = rng.normal(size=out.shape).astype(dtype)
+    (out * g).sum().backward()  # hands the conv exactly g
+    expect = _padded_window_conv1d(x, w, b, g, padding)
+    for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), expect):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_silu_is_bitwise_the_two_branch_sigmoid():
+    a = np.concatenate([np.random.default_rng(23).normal(0.0, 4.0, size=200),
+                        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]])
+    for x in (a, a.astype(np.float32)):
+        e = np.exp(-np.abs(x))
+        expect = x * np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert T.silu(Tensor(x)).data.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("film", [False, True], ids=["silu", "film_silu"])
+@pytest.mark.parametrize("lead", [1, 16], ids=["shared_t", "per_row_t"])
+def test_group_norm_epilogues_are_bitwise_the_composed_chain(film, lead, dtype):
+    # forward bits and every gradient of GroupNorm [-> FiLM] -> SiLU as one node
+    # equal those of the chain of nodes the U-Net stage used to build
+    rng = np.random.default_rng(24)
+    data = [rng.normal(1.0, 2.0, size=(16, 32, 10)), rng.normal(size=(32, 1)),
+            rng.normal(size=(32, 1)), rng.normal(1.0, 0.5, size=(lead, 32, 1)),
+            rng.normal(size=(lead, 32, 1))]
+    g = rng.normal(size=(16, 32, 10)).astype(dtype)
+
+    def run(fused):
+        x, gamma, beta, scale1, shift = (parameter(a.astype(dtype)) for a in data)
+        pair = (scale1, shift) if film else None
+        if fused:
+            out = T.group_norm(x, gamma, beta, 4, 1e-5, pair, silu=True)
+        else:
+            h = T.group_norm(x, gamma, beta, 4, 1e-5)
+            out = T.silu(h * scale1 + shift if film else h)
+        (out * g).sum().backward()
+        return [out.data] + [p.grad for p in (x, gamma, beta) + (pair or ())]
+
+    for got, ref in zip(run(True), run(False), strict=True):
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 
 
 def test_linear_forward_matches_matmul_plus_bias():
