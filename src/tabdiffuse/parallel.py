@@ -20,6 +20,10 @@ the library's thread count is pinned to 1; the count is process-wide, so the
 pin nests (a lock and a depth count) across concurrent callers and the saved
 count is restored when the last one leaves.  When the library's thread
 controls cannot be found, the shards run one after another on the caller.
+
+``read_ahead`` runs an iterator on a thread of its own, a few items ahead of
+its reader, under the same pin, on a core the shards leave idle: the sampler
+draws its noise there while the network runs.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import functools
 import glob
 import itertools
 import os
+import queue
 import threading
 
 import numpy as np
@@ -163,3 +168,68 @@ def sharded_eval(denoiser, n_rows: int):
 
     with numpy_blas().pinned(), ThreadPoolExecutor(threads, thread_name_prefix="shard") as pool:
         yield functools.partial(evaluate, map_=pool.map)
+
+
+class _Raised:
+    """An exception of ``read_ahead``'s thread, handed to its reader."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+
+_END = object()
+
+
+@contextlib.contextmanager
+def read_ahead(items, depth: int, name: str, busy: int):
+    """Yields an iterator over ``items`` that a thread named ``name`` runs up to
+    ``depth`` finished items (and one in hand) ahead of the reader.
+
+    The items come in their order, and an error raised by ``items`` reaches
+    the reader when it reads that far.  BLAS stays pinned to one thread for
+    the whole block, so the thread has a core of its own.  On leaving, the
+    thread is stopped and joined before the block's error or result goes on.
+    The reader runs ``items`` itself when the ``busy`` threads it keeps
+    running meanwhile (say, ``shard_threads``) take every core, or when BLAS
+    cannot be pinned: a thread would only contend with them, and its heap
+    arena would keep pages of theirs mapped.
+    """
+    blas = numpy_blas()
+    if _cores() <= busy or blas is None:
+        yield iter(items)
+        return
+    ready = queue.Queue(depth)
+    stop = threading.Event()
+
+    def produce():
+        end = _END
+        try:
+            for item in items:
+                ready.put(item)
+                if stop.is_set():
+                    return
+        except Exception as exc:  # raised again by the reader
+            end = _Raised(exc)
+        # after ``stop`` this thread makes at most the one put already under way,
+        # so the one slot the reader frees on leaving is enough
+        if not stop.is_set():
+            ready.put(end)
+
+    def read():
+        while (item := ready.get()) is not _END:
+            if isinstance(item, _Raised):
+                raise item.error
+            yield item
+
+    with blas.pinned():
+        thread = threading.Thread(target=produce, name=name, daemon=True)
+        thread.start()
+        try:
+            yield read()
+        finally:
+            stop.set()
+            try:
+                ready.get_nowait()  # unblock a put that waits for room
+            except queue.Empty:
+                pass
+            thread.join()

@@ -46,6 +46,9 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        # set while another thread makes this stream's normal draws ahead:
+        # ahead(self) is the next of them (``sampling.impute``)
+        self.ahead = None
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws on the half-open interval (0, 1]."""
@@ -53,16 +56,29 @@ class Rng:
         return 1.0 - self._gen.random(size=shape)
 
     def normal(self, shape=()) -> np.ndarray:
-        """I.i.d. standard normal draws via Box-Muller."""
+        """I.i.d. standard normal draws via Box-Muller: drawn now, or the next
+        draw ``ahead`` made, which has the same bits."""
+        if self.ahead is None:
+            z = self.draw_normals(1, shape)[0]
+            return z if shape else float(z)
+        z = self.ahead(self)
+        if np.shape(z) != tuple(shape):
+            raise ValueError(f"the draw made ahead has shape {np.shape(z)}, not {tuple(shape)}")
+        return z
+
+    def draw_normals(self, count: int, shape) -> np.ndarray:
+        """The stream's next ``count`` normal draws of ``shape``, stacked: the
+        bits of ``count`` calls of ``normal(shape)``, for fewer numpy calls."""
         n = math.prod(shape)
         m = (n + 1) // 2
-        u = self.uniform((2 * m,))  # the uniforms of two calls of length m
-        u1, u2 = u[:m], u[m:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty(2 * m)
-        z[0::2] = r * np.cos(2.0 * np.pi * u2)
-        z[1::2] = r * np.sin(2.0 * np.pi * u2)
-        return z[:n].reshape(shape) if shape else float(z[0])
+        # each call's uniforms: the first m pair with the next m
+        u = self.uniform((count, 2, m))
+        r = np.sqrt(-2.0 * np.log(u[:, 0]))
+        angle = 2.0 * np.pi * u[:, 1]
+        z = np.empty((count, 2 * m))
+        z[:, 0::2] = r * np.cos(angle)
+        z[:, 1::2] = r * np.sin(angle)
+        return z[:, :n].reshape(count, *shape)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Uniform integers in [low, high)."""

@@ -15,6 +15,21 @@ Several walks (inferences) over tables of one shape run as one stacked
 state: one network evaluation per step serves them all, and each walk draws
 its noise from its own stream in the order it would alone.
 
+The walks' normal draws are made ahead of the loop, on a thread named
+``tabdiffuse-noise``.  It reads each walk's stream in the stream's own order,
+``DRAW_CHUNK`` (8) draws at a time, each batch one numpy pass with the bits
+of the draws made one by one (``Rng.draw_normals``).  Up to ``DRAWS_AHEAD``
+(2) batches wait beyond the one the loop is taking from, and one more may be
+in the thread's hands: at most four batches of ``K * DRAW_CHUNK`` ``(n, d)``
+float64 arrays, 1.2 MB for three 400 x 4 walks.  The loop still makes one
+``Rng.normal`` call per draw, where the draw is used, and takes the draw
+from there (``Rng.ahead``); only the thread reads the streams' bits, so every
+byte stays the same.  OpenBLAS is pinned to one thread for the whole walk
+(nesting with the shards' pin), which leaves the second core to the draws.
+When the shard threads take every core (the 128-row transformer on two), or
+when BLAS cannot be pinned, the loop makes each batch itself when it needs
+it (``parallel.read_ahead``).
+
 When the network was trained on a longer time axis than the sampler runs
 (e.g. 1000 vs 500), the integer step fed to the network is rescaled by
 T_train / T_sample so the time conditioning stays in distribution; the
@@ -26,13 +41,15 @@ sampling step unscaled.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .denoisers import Denoiser
-from .parallel import sharded_eval
+from .parallel import read_ahead, shard_bounds, shard_threads, sharded_eval
 from .rng import Rng
 from .schedule import (
     DiffusionSchedule,
@@ -48,6 +65,12 @@ from .tensor import keep_heap_mapped
 # Clean-state clamp applied inside every reverse step of ``impute``; keeps the
 # walk bounded even for an untrained network.
 CLIP_X0 = (-1.0, 2.0)
+
+# The noise thread makes each walk's draws DRAW_CHUNK at a time (fewer numpy
+# calls, the same bits), and up to DRAWS_AHEAD such batches wait, finished,
+# beyond the one the walk is taking from.
+DRAW_CHUNK = 8
+DRAWS_AHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -203,6 +226,40 @@ def _denoiser_time(t_math: int, sample_t: int, train_t: int | None) -> int:
     return max(1, round(t_math * train_t / sample_t))
 
 
+def _walk_draws(rngs, shape, total: int):
+    """Each walk's next ``total`` normal draws of ``shape``, in batches: per
+    batch, ``DRAW_CHUNK`` successive draws (fewer at the end) stacked per walk."""
+    for start in range(0, total, DRAW_CHUNK):
+        yield [rng.draw_normals(min(DRAW_CHUNK, total - start), shape) for rng in rngs]
+
+
+@contextlib.contextmanager
+def _drawn_ahead(rngs, shape, total: int, busy: int):
+    """While inside, each walk's ``Rng.normal`` takes its next draw from
+    batches a thread named ``tabdiffuse-noise`` made ahead, up to
+    ``DRAWS_AHEAD`` batches beyond the one it is drawing, on a core beyond
+    the ``busy`` shard threads (``parallel.read_ahead``).  Each stream is read
+    by that thread alone, in its own order, so the bits are those of draws
+    made on the spot."""
+    pending = {rng: collections.deque() for rng in rngs}
+    draws = _walk_draws(rngs, shape, total)
+    with read_ahead(draws, DRAWS_AHEAD, "tabdiffuse-noise", busy) as batches:
+
+        def take(rng):
+            if not pending[rng]:
+                for each, drawn in zip(rngs, next(batches)):
+                    pending[each].extend(drawn)
+            return pending[rng].popleft()
+
+        for rng in rngs:
+            rng.ahead = take
+        try:
+            yield
+        finally:
+            for rng in rngs:
+                rng.ahead = None
+
+
 def impute(
     denoiser: Denoiser,
     walks,
@@ -218,9 +275,12 @@ def impute(
     Averaging inferences is the evaluation protocol's job
     (``bench.average_inferences``).  Each network evaluation runs in row
     shards (``parallel.sharded_eval``) cut by the network and the stacked row
-    count alone, never by the number of cores.
+    count alone, never by the number of cores.  The noise is drawn ahead of
+    the loop on a thread of its own (``_drawn_ahead``).
     """
     tables = [table for table, _ in walks]
+    if not tables:
+        raise ValueError("impute needs at least one walk; the walk list is empty")
     shape = tables[0].x_obs.shape
     if {table.x_obs.shape for table in tables} != {(shape[0], denoiser.config.n_features)}:
         raise ValueError(f"walks need tables of one shape (n, {denoiser.config.n_features}), "
@@ -237,16 +297,19 @@ def impute(
 
     n = len(x0)
     eta = opts.step_eta
-    top = plan.ts[0]
-    # Fixed draw order per step keeps each walk's noise stream identical across
-    # eta values and stackings: known-region noise first, then the step noise.
-    x = np.where(mask, noisy_known(sched, x0, top + 1, normal()), normal())
-    if on_step is not None:
-        on_step(top, x)
     # a step's short-lived arrays grow with the network: size the kept heap by its weights
     keep_heap_mapped(max(2 << 20, sum(array.nbytes for _, array in denoiser.named_arrays())))
     train_t = denoiser.train_t
-    with sharded_eval(denoiser, n) as evaluate:
+    top = plan.ts[0]
+    # draws per walk: two for the first state and each denoising step, one per retrace
+    n_draws = 2 + sum(2 if b < a else 1 for a, b in plan.pairs())
+    busy = shard_threads(len(shard_bounds(denoiser, n)) - 1)
+    with _drawn_ahead(rngs, shape, n_draws, busy), sharded_eval(denoiser, n) as evaluate:
+        # Fixed draw order per step keeps each walk's noise stream identical across
+        # eta values and stackings: known-region noise first, then the step noise.
+        x = np.where(mask, noisy_known(sched, x0, top + 1, normal()), normal())
+        if on_step is not None:
+            on_step(top, x)
         for a, b in plan.pairs():
             if b < a:  # denoising step from level a+1 down to level b+1
                 eps_known = normal()

@@ -382,7 +382,9 @@ def group_norm(x, gamma, beta, groups: int, eps: float, film=None, silu: bool = 
     """Normalize (batch, channels, length) over channel groups, then scale by
     ``gamma`` and shift by ``beta``, both (channels, 1); ``film`` and ``silu``
     add the U-Net stage's FiLM (per channel, over L) and SiLU to the node."""
-    return _normalized(x, gamma, beta, (x.shape[0], groups, -1), eps, "group_norm", film, silu)
+    batch, channels, length = x.shape  # explicit sizes: a 0-row batch has no -1 to infer
+    return _normalized(x, gamma, beta, (batch, groups, channels // groups * length), eps,
+                       "group_norm", film, silu)
 
 
 def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, drop_mask=None) -> Tensor:

@@ -1,5 +1,7 @@
-"""Shared test helpers: the central finite-difference gradient check, and
-the ancestral (DDPM) reverse step and walk written out as sampler oracles."""
+"""Shared test helpers: the central finite-difference gradient check, the
+ancestral (DDPM) reverse step and walk written out as sampler oracles, and
+the sampler's serial loop, which draws its noise inline, as the oracle of the
+read-ahead one."""
 
 from __future__ import annotations
 
@@ -7,8 +9,16 @@ import math
 
 import numpy as np
 
+from tabdiffuse.parallel import sharded_eval
 from tabdiffuse.rng import Rng
-from tabdiffuse.sampling import CLIP_X0
+from tabdiffuse.sampling import (
+    CLIP_X0,
+    _denoiser_time,
+    build_plan,
+    harmonize_jump,
+    impute_ddim_step,
+    noisy_known,
+)
 from tabdiffuse.schedule import build_cosine_schedule, harmonization_plan
 from tabdiffuse.tensor import Tensor, no_grad
 
@@ -125,3 +135,44 @@ def ancestral_walk(denoiser, table, seed, T, jump_length=1, jump_n_sample=1):
             x = math.sqrt(ratio) * x + math.sqrt(1 - ratio) * rng.normal(shape)
         states.append(x)
     return states
+
+
+def serial_impute(denoiser, walks, opts, on_step=None):
+    """``sampling.impute`` as one loop on the calling thread: each step draws
+    its noise where it uses it (known-region noise, then step noise; one draw
+    per retrace), then evaluates the network and blends."""
+    tables = [table for table, _ in walks]
+    shape = tables[0].x_obs.shape
+    x_obs = np.concatenate([table.x_obs for table in tables])
+    mask = np.concatenate([table.mask for table in tables])
+    x0 = np.where(mask, x_obs, 0.0)
+    sched = build_cosine_schedule(opts.t_sampling)
+    plan = build_plan(opts)
+    rngs = [Rng(seed) for _, seed in walks]
+
+    def normal():
+        return np.concatenate([rng.normal(shape) for rng in rngs])
+
+    n = len(x0)
+    eta = opts.step_eta
+    top = plan.ts[0]
+    x = np.where(mask, noisy_known(sched, x0, top + 1, normal()), normal())
+    if on_step is not None:
+        on_step(top, x)
+    with sharded_eval(denoiser, n) as evaluate:
+        for a, b in plan.pairs():
+            if b < a:
+                eps_known = normal()
+                step_noise = normal()
+                t_math = a + 1
+                eps_hat = evaluate(x, np.full(n, _denoiser_time(t_math, sched.T,
+                                                                denoiser.train_t)))
+                unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, eta, step_noise,
+                                           clip_x0=CLIP_X0)
+                known = noisy_known(sched, x0, b + 1, eps_known)
+                x = np.where(mask, known, unknown)
+            else:
+                x = harmonize_jump(sched, x, a + 1, b + 1, normal())
+            if on_step is not None:
+                on_step(b, x)
+    return np.split(np.where(mask, x_obs, x), len(tables))

@@ -144,7 +144,7 @@ def test_blas_threads_restored_after_impute(monkeypatch, blas):
     seen = []
     impute(den, walks, opts, on_step=lambda level, x: seen.append(blas.get()))
     assert _n_shards(den, 64) == 2
-    assert set(seen[1:]) == {1}  # pinned from the first network evaluation on
+    assert set(seen) == {1}  # pinned for the whole walk, its first draws included
     assert blas.get() == 2
 
 
@@ -161,6 +161,128 @@ def test_blas_threads_restored_after_a_shard_raises(monkeypatch, blas):
     monkeypatch.setattr(type(den), "forward", failing)
     with pytest.raises(NumericError):
         impute(den, walks, opts)
+    assert blas.get() == 2
+
+
+def _noise_threads():
+    return [t for t in threading.enumerate() if t.name == "tabdiffuse-noise"]
+
+
+def _mlp_walk():
+    den = build_denoiser(DenoiserConfig(arch="mlp", n_features=4), seed=2)
+    rng = Rng(6)
+    table = MaskedTable(rng.uniform((40, 4)), rng.uniform((40, 4)) > 0.3)
+    return den, [(table, 3), (table, 4)], SamplerOptions(t_sampling=20, jump_n_sample=2)
+
+
+def test_no_noise_thread_while_the_shards_take_every_core(monkeypatch, blas):
+    """A thread beside two shard threads on two cores would only contend."""
+    monkeypatch.setattr(parallel, "_cores", lambda: 2)
+    den, walks, _ = _impute_big_transformer()
+    opts = SamplerOptions(t_sampling=24)  # more batches of draws than the thread may hold
+    assert parallel.shard_threads(_n_shards(den, 64)) == 2
+    producing = []
+    impute(den, walks, opts, on_step=lambda level, x: producing.append(bool(_noise_threads())))
+    assert not any(producing)
+    monkeypatch.setattr(parallel, "_cores", lambda: 3)
+    producing.clear()
+    impute(den, walks, opts, on_step=lambda level, x: producing.append(bool(_noise_threads())))
+    assert producing[0]
+
+
+def test_a_network_error_mid_walk_stops_the_noise_thread(monkeypatch, blas):
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+    den, walks, opts = _mlp_walk()
+    forward = type(den).forward
+    calls, producing = [], []
+    error = NumericError("non-finite values produced by 'step 5'")
+
+    def failing(self, x, t, training=False, rng=None):
+        calls.append(t[0])
+        producing.append(bool(_noise_threads()))
+        if len(calls) == 5:
+            raise error
+        return forward(self, x, t, training, rng)
+
+    monkeypatch.setattr(type(den), "forward", failing)
+    with pytest.raises(NumericError) as raised:
+        impute(den, walks, opts)
+    assert raised.value is error
+    assert producing[0] and len(calls) == 5
+    assert not _noise_threads()
+    assert blas.get() == 2
+
+
+@pytest.mark.parametrize("method,fail_at,thread", [("draw_normals", 4, "tabdiffuse-noise"),
+                                                   ("normal", 7, "MainThread")])
+def test_a_draw_error_reaches_the_caller_and_stops_the_noise_thread(monkeypatch, blas, method,
+                                                                    fail_at, thread):
+    """The thread makes the draws (``draw_normals``); the loop takes them
+    (``normal``).  An error on either side ends the walk the same way."""
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+    den, walks, opts = _mlp_walk()
+    original = getattr(Rng, method)
+    drawn = []
+    error = RuntimeError(f"draw {fail_at} failed")
+
+    def failing(self, *args):
+        drawn.append(threading.current_thread().name)
+        if len(drawn) == fail_at:
+            raise error
+        return original(self, *args)
+
+    monkeypatch.setattr(Rng, method, failing)
+    with pytest.raises(RuntimeError) as raised:
+        impute(den, walks, opts)
+    assert raised.value is error
+    assert set(drawn) == {thread}
+    assert not _noise_threads()
+    assert blas.get() == 2
+
+
+def test_one_core_draws_inline_with_the_same_bytes(monkeypatch, blas):
+    den, walks, opts = _mlp_walk()
+    outputs = {}
+    for cores in ({0, 1}, {0}):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        producing = []
+        out = impute(den, walks, opts,
+                     on_step=lambda level, x: producing.append(bool(_noise_threads())))
+        outputs[len(cores)] = [o.tobytes() for o in out]
+        assert producing[0] == (len(cores) == 2)
+        assert len(cores) == 2 or not any(producing)
+    assert outputs[1] == outputs[2]
+    assert blas.get() == 2
+
+
+@pytest.mark.parametrize("leave_after", [0, 1, 2, 3, 5, 8])
+def test_a_reader_that_leaves_early_stops_the_thread(monkeypatch, blas, leave_after):
+    """Whether the thread waits for room, draws, or has finished when the
+    reader leaves, the block joins it; four readers at once, the switch
+    interval shortened so the interleavings vary."""
+    monkeypatch.setattr(parallel, "_cores", lambda: 2)
+    read, errors = [], []
+
+    def reader():
+        try:
+            with parallel.read_ahead(iter(range(8)), 2, "tabdiffuse-noise", 1) as items:
+                read.append(list(itertools.islice(items, leave_after)))
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not errors and read == [list(range(min(leave_after, 8)))] * 4
+    assert not _noise_threads()
     assert blas.get() == 2
 
 

@@ -73,3 +73,28 @@ def test_normal_is_the_two_call_box_muller_stream(shape):
             ours, ref = rng.normal(shape), _two_call_box_muller(gen, shape)
             assert type(ours) is type(ref)
             assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_a_draw_made_ahead_must_have_the_shape_asked_for():
+    rng = Rng(3)
+    rng.ahead = lambda stream: np.zeros((2, 2))
+    np.testing.assert_array_equal(rng.normal((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        rng.normal((4,))
+    rng.ahead = None
+    np.testing.assert_array_equal(rng.normal((4,)), Rng(3).normal((4,)))
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (16,), (400, 4), (13, 3), (0, 4)])
+@pytest.mark.parametrize("count", [1, 5, 8])
+def test_stacked_draws_are_the_box_muller_stream(shape, count):
+    """The sampler's noise thread draws several calls' normals in one pass;
+    they must be the bits of the calls one by one, and leave the stream where
+    the calls would."""
+    for seed in range(20):
+        rng, gen = Rng(seed), np.random.Generator(np.random.Philox(key=seed))
+        got = rng.draw_normals(count, shape)
+        assert got.shape == (count, *shape)
+        expected = [_two_call_box_muller(gen, shape) for _ in range(count)]
+        assert [z.tobytes() for z in got] == [z.tobytes() for z in expected]
+        assert rng.uniform((3,)).tobytes() == (1.0 - gen.random(size=(3,))).tobytes()

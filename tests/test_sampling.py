@@ -1,8 +1,11 @@
 import math
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import ancestral_step, ancestral_walk
+from conftest import ancestral_step, ancestral_walk, serial_impute
+from tabdiffuse import parallel
 from tabdiffuse.bench import average_inferences
 from tabdiffuse.denoisers import DenoiserConfig, build_denoiser
 from tabdiffuse.rng import Rng, derive_seed
@@ -342,6 +345,48 @@ def test_stacked_walks_match_separate_walks(arch):
         else:
             np.testing.assert_allclose(out, alone, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out[walk[0].mask], walk[0].x_obs[walk[0].mask])
+
+
+READ_AHEAD_CASES = {  # (options, walks, rows per walk)
+    "full-plan": (SamplerOptions(t_sampling=20), 1, 13),
+    "tau25-retrace2": (SamplerOptions(t_sampling=500, tau=25, jump_n_sample=2), 1, 13),
+    "3-stacked-walks": (SamplerOptions(t_sampling=20, jump_n_sample=2), 3, 13),
+    "0-rows": (SamplerOptions(t_sampling=20), 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_AHEAD_CASES))
+@pytest.mark.parametrize("arch", sorted(STACKED))
+def test_read_ahead_walk_is_bitwise_the_serial_loop(monkeypatch, arch, case):
+    """Drawing the noise on its own thread, steps ahead, moves no bit of the
+    output or of any state the walk passes through."""
+    monkeypatch.setattr(parallel, "_cores", lambda: 2)
+    opts, n_walks, n = READ_AHEAD_CASES[case]
+    cfg = STACKED[arch][0]
+    den = build_denoiser(cfg, seed=3)
+    rng = Rng(41)
+    walks = [(MaskedTable(rng.uniform((n, cfg.n_features)),
+                          rng.uniform((n, cfg.n_features)) > 0.3), derive_seed(9, i))
+             for i in range(n_walks)]
+    seen, expected, producing = [], [], []
+
+    def record(level, x):
+        producing.append("tabdiffuse-noise" in {t.name for t in threading.enumerate()})
+        seen.append((level, x.tobytes()))
+
+    out = impute(den, walks, opts, on_step=record)
+    reference = serial_impute(den, walks, opts,
+                              on_step=lambda level, x: expected.append((level, x.tobytes())))
+    assert [o.tobytes() for o in out] == [o.tobytes() for o in reference]
+    assert seen == expected
+    assert len(seen) == len(build_plan(opts))
+    # at the first state the thread still has more batches to draw than it may hold
+    assert producing[0] == (parallel.numpy_blas() is not None)
+
+
+def test_no_walks_is_a_value_error():
+    with pytest.raises(ValueError, match="walk list is empty"):
+        impute(tiny_denoiser(), [], SamplerOptions(t_sampling=10))
 
 
 def test_time_axis_rescaling_feeds_training_scale():
