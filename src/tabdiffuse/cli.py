@@ -163,6 +163,14 @@ def _count(noun: str):
     return count
 
 
+def _seed(text: str) -> int:
+    """The type of --seed: an int in [0, 2**64); the streams take seeds mod 2**64."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"--seed must lie in [0, 2**64), got {value}")
+    return value
+
+
 def _names(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(","))
 
@@ -614,7 +622,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="key = value config file; CLI flags win")
         p.add_argument("--data", type=Path, required=True)
         p.add_argument("--target", default=None, help="column excluded from the features")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument(out_flag, type=Path, required=True, help=out_help)
         return p
 

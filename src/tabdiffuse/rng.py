@@ -46,9 +46,6 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        # set while another thread makes this stream's normal draws ahead:
-        # ahead(self) is the next of them (``sampling.impute``)
-        self.ahead = None
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws on the half-open interval (0, 1]."""
@@ -56,15 +53,9 @@ class Rng:
         return 1.0 - self._gen.random(size=shape)
 
     def normal(self, shape=()) -> np.ndarray:
-        """I.i.d. standard normal draws via Box-Muller: drawn now, or the next
-        draw ``ahead`` made, which has the same bits."""
-        if self.ahead is None:
-            z = self.draw_normals(1, shape)[0]
-            return z if shape else float(z)
-        z = self.ahead(self)
-        if np.shape(z) != tuple(shape):
-            raise ValueError(f"the draw made ahead has shape {np.shape(z)}, not {tuple(shape)}")
-        return z
+        """I.i.d. standard normal draws via Box-Muller."""
+        z = self.draw_normals(1, shape)[0]
+        return z if shape else float(z)
 
     def draw_normals(self, count: int, shape) -> np.ndarray:
         """The stream's next ``count`` normal draws of ``shape``, stacked: the

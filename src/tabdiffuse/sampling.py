@@ -16,19 +16,19 @@ state: one network evaluation per step serves them all, and each walk draws
 its noise from its own stream in the order it would alone.
 
 The walks' normal draws are made ahead of the loop, on a thread named
-``tabdiffuse-noise``.  It reads each walk's stream in the stream's own order,
-``DRAW_CHUNK`` (8) draws at a time, each batch one numpy pass with the bits
-of the draws made one by one (``Rng.draw_normals``).  Up to ``DRAWS_AHEAD``
-(2) batches wait beyond the one the loop is taking from, and one more may be
-in the thread's hands: at most four batches of ``K * DRAW_CHUNK`` ``(n, d)``
-float64 arrays, 1.2 MB for three 400 x 4 walks.  The loop still makes one
-``Rng.normal`` call per draw, where the draw is used, and takes the draw
-from there (``Rng.ahead``); only the thread reads the streams' bits, so every
-byte stays the same.  OpenBLAS is pinned to one thread for the whole walk
-(nesting with the shards' pin), which leaves the second core to the draws.
-When the shard threads take every core (the 128-row transformer on two), or
-when BLAS cannot be pinned, the loop makes each batch itself when it needs
-it (``parallel.read_ahead``).
+``tabdiffuse-noise`` (``parallel.read_ahead``).  It reads each walk's stream
+in the stream's own order, ``DRAW_CHUNK`` (8) draws at a time, each one
+numpy pass with the bits of the draws made one by one (``Rng.draw_normals``),
+and stacks the walks' draws into one ``(DRAW_CHUNK, K * n, d)`` batch
+(``_walk_noise``); the loop takes the batch's draws in turn and makes no
+``Rng`` call.  Up to ``DRAWS_AHEAD`` (2) batches wait beyond the one the
+loop is taking from, and one more may be in the thread's hands: at most four
+batches, 1.2 MB for three 400 x 4 walks.  Only the thread reads the streams'
+bits, so every byte stays the same.  OpenBLAS is pinned to one thread for
+the whole walk (nesting with the shards' pin), which leaves the second core
+to the draws.  When the shard threads take every core (the 128-row
+transformer on two), or when BLAS cannot be pinned, the loop makes each
+batch itself when it needs it.
 
 When the network was trained on a longer time axis than the sampler runs
 (e.g. 1000 vs 500), the integer step fed to the network is rescaled by
@@ -41,8 +41,7 @@ sampling step unscaled.
 
 from __future__ import annotations
 
-import collections
-import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,9 +65,7 @@ from .tensor import keep_heap_mapped
 # walk bounded even for an untrained network.
 CLIP_X0 = (-1.0, 2.0)
 
-# The noise thread makes each walk's draws DRAW_CHUNK at a time (fewer numpy
-# calls, the same bits), and up to DRAWS_AHEAD such batches wait, finished,
-# beyond the one the walk is taking from.
+# draws per walk in one numpy pass, and finished batches waiting beyond the one in use
 DRAW_CHUNK = 8
 DRAWS_AHEAD = 2
 
@@ -226,38 +223,13 @@ def _denoiser_time(t_math: int, sample_t: int, train_t: int | None) -> int:
     return max(1, round(t_math * train_t / sample_t))
 
 
-def _walk_draws(rngs, shape, total: int):
-    """Each walk's next ``total`` normal draws of ``shape``, in batches: per
-    batch, ``DRAW_CHUNK`` successive draws (fewer at the end) stacked per walk."""
+def _walk_noise(rngs, shape, total: int):
+    """The stacked state's next ``total`` normal draws, in batches of
+    ``DRAW_CHUNK`` (fewer at the end): entry i of a ``(count, K * n, d)``
+    batch is the i-th draw, walk k's rows from ``rngs[k]``."""
     for start in range(0, total, DRAW_CHUNK):
-        yield [rng.draw_normals(min(DRAW_CHUNK, total - start), shape) for rng in rngs]
-
-
-@contextlib.contextmanager
-def _drawn_ahead(rngs, shape, total: int, busy: int):
-    """While inside, each walk's ``Rng.normal`` takes its next draw from
-    batches a thread named ``tabdiffuse-noise`` made ahead, up to
-    ``DRAWS_AHEAD`` batches beyond the one it is drawing, on a core beyond
-    the ``busy`` shard threads (``parallel.read_ahead``).  Each stream is read
-    by that thread alone, in its own order, so the bits are those of draws
-    made on the spot."""
-    pending = {rng: collections.deque() for rng in rngs}
-    draws = _walk_draws(rngs, shape, total)
-    with read_ahead(draws, DRAWS_AHEAD, "tabdiffuse-noise", busy) as batches:
-
-        def take(rng):
-            if not pending[rng]:
-                for each, drawn in zip(rngs, next(batches)):
-                    pending[each].extend(drawn)
-            return pending[rng].popleft()
-
-        for rng in rngs:
-            rng.ahead = take
-        try:
-            yield
-        finally:
-            for rng in rngs:
-                rng.ahead = None
+        count = min(DRAW_CHUNK, total - start)
+        yield np.concatenate([rng.draw_normals(count, shape) for rng in rngs], axis=1)
 
 
 def impute(
@@ -276,7 +248,7 @@ def impute(
     (``bench.average_inferences``).  Each network evaluation runs in row
     shards (``parallel.sharded_eval``) cut by the network and the stacked row
     count alone, never by the number of cores.  The noise is drawn ahead of
-    the loop on a thread of its own (``_drawn_ahead``).
+    the loop on a thread of its own (``_walk_noise``).
     """
     tables = [table for table, _ in walks]
     if not tables:
@@ -291,10 +263,6 @@ def impute(
     sched = build_cosine_schedule(opts.t_sampling)
     plan = build_plan(opts)
     rngs = [Rng(seed) for _, seed in walks]
-
-    def normal():  # one draw per walk, each from its own stream
-        return np.concatenate([rng.normal(shape) for rng in rngs])
-
     n = len(x0)
     eta = opts.step_eta
     # a step's short-lived arrays grow with the network: size the kept heap by its weights
@@ -304,16 +272,18 @@ def impute(
     # draws per walk: two for the first state and each denoising step, one per retrace
     n_draws = 2 + sum(2 if b < a else 1 for a, b in plan.pairs())
     busy = shard_threads(len(shard_bounds(denoiser, n)) - 1)
-    with _drawn_ahead(rngs, shape, n_draws, busy), sharded_eval(denoiser, n) as evaluate:
+    noise = read_ahead(_walk_noise(rngs, shape, n_draws), DRAWS_AHEAD, "tabdiffuse-noise", busy)
+    with noise as batches, sharded_eval(denoiser, n) as evaluate:
+        draws = itertools.chain.from_iterable(batches)
         # Fixed draw order per step keeps each walk's noise stream identical across
         # eta values and stackings: known-region noise first, then the step noise.
-        x = np.where(mask, noisy_known(sched, x0, top + 1, normal()), normal())
+        x = np.where(mask, noisy_known(sched, x0, top + 1, next(draws)), next(draws))
         if on_step is not None:
             on_step(top, x)
         for a, b in plan.pairs():
             if b < a:  # denoising step from level a+1 down to level b+1
-                eps_known = normal()
-                step_noise = normal()
+                eps_known = next(draws)
+                step_noise = next(draws)
                 t_math = a + 1
                 eps_hat = evaluate(x, np.full(n, _denoiser_time(t_math, sched.T, train_t)))
                 unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, eta, step_noise,
@@ -321,7 +291,7 @@ def impute(
                 known = noisy_known(sched, x0, b + 1, eps_known)
                 x = np.where(mask, known, unknown)
             else:  # retrace: re-noise the whole state from level a+1 up to b+1
-                x = harmonize_jump(sched, x, a + 1, b + 1, normal())
+                x = harmonize_jump(sched, x, a + 1, b + 1, next(draws))
             if on_step is not None:
                 on_step(b, x)
     return np.split(np.where(mask, x_obs, x), len(tables))

@@ -753,6 +753,21 @@ def test_counts_below_one_exit_2(workdir, tmp_path, capsys, command, flag):
     assert "must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("seed,rc", [("-1", 2), (str(1 << 64), 2), (str((1 << 64) - 1), 0)])
+def test_seeds_outside_0_to_2_to_the_64_exit_2(workdir, tmp_path, capsys, seed, rc):
+    """A seed outside [0, 2**64) would alias one inside (-1 would write the
+    body of 2**64 - 1); it exits 2 naming --seed, given as a flag or in a
+    config file, and writes nothing."""
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"[impute]\nseed = {seed}\n")
+    argv = _command_argv("impute", workdir, tmp_path)
+    for extra in (["--seed", seed], ["--config", str(cfg)]):
+        assert main(argv + extra) == rc
+        err = capsys.readouterr().err
+        assert rc == 0 or f"--seed must lie in [0, 2**64), got {seed}" in err
+    assert (tmp_path / "o.csv").exists() == (rc == 0)
+
+
 @pytest.fixture(scope="module")
 def three_features(workdir):
     """A 3-feature table and a checkpoint trained on it without the time tokenizer."""

@@ -75,16 +75,6 @@ def test_normal_is_the_two_call_box_muller_stream(shape):
             assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
 
 
-def test_a_draw_made_ahead_must_have_the_shape_asked_for():
-    rng = Rng(3)
-    rng.ahead = lambda stream: np.zeros((2, 2))
-    np.testing.assert_array_equal(rng.normal((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="shape"):
-        rng.normal((4,))
-    rng.ahead = None
-    np.testing.assert_array_equal(rng.normal((4,)), Rng(3).normal((4,)))
-
-
 @pytest.mark.parametrize("shape", [(1,), (7,), (16,), (400, 4), (13, 3), (0, 4)])
 @pytest.mark.parametrize("count", [1, 5, 8])
 def test_stacked_draws_are_the_box_muller_stream(shape, count):

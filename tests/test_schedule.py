@@ -61,17 +61,6 @@ def test_cosine_midpoint_closed_form():
     assert s.alpha_bar_at(t) == pytest.approx(f(t) / f(0), rel=1e-10)
 
 
-@pytest.mark.parametrize("T", [100, 500, 1000])
-def test_posterior_sigma_closed_form(T):
-    # the ancestral step's noise scale is the eta = 1 adjacent step's sigma
-    s = build_cosine_schedule(T)
-    for t in [1, 2, T // 2, T - 1, T]:
-        abar_t = s.alpha_bar_at(t)
-        abar_prev = s.alpha_bar_at(t - 1)
-        expect = math.sqrt((1.0 - abar_prev) / (1.0 - abar_t) * s.beta[t - 1])
-        assert abs(ddim_sigma(s, t, t - 1, eta=1.0) - expect) <= 1e-12
-
-
 def test_schedule_time_bounds():
     s = build_cosine_schedule(10)
     assert s.alpha_bar_at(0) == 1.0
@@ -90,14 +79,6 @@ def test_ddim_sigma_eta_zero():
     s = build_cosine_schedule(100)
     for t in [1, 3, 50, 100]:
         assert ddim_sigma(s, t, t - 1, eta=0.0) == 0.0
-
-
-def test_ddim_sigma_eta_one_adjacent_equals_posterior():
-    s = build_cosine_schedule(500)
-    abar_prev = np.concatenate(([1.0], s.alpha_bar[:-1]))
-    sigma_post = np.sqrt((1.0 - abar_prev) / (1.0 - s.alpha_bar) * s.beta)
-    for t in range(1, 501):
-        assert abs(ddim_sigma(s, t, t - 1, eta=1.0) - sigma_post[t - 1]) <= 1e-12
 
 
 def test_ddim_sigma_direct_formula():
