@@ -158,17 +158,9 @@ def summarize(rows: list[EvalRow]) -> dict[str, dict[str, float]]:
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks with 1 = smallest; exact ties share the average rank."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    sv = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    ordered = np.sort(values)
+    return (np.searchsorted(ordered, values, "left")
+            + np.searchsorted(ordered, values, "right") + 1) / 2
 
 
 def rank_table(summary: dict[str, dict[str, float]]) -> list[tuple[str, float, float]]:

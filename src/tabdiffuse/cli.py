@@ -146,16 +146,25 @@ class _Repeat(argparse.Action):
         setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
 
 
+def _parse(text: str, form: str, parse=int):
+    """``parse(text)``; a malformed value is a usage error that says what the
+    option takes (argparse would name the type function instead)."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    return _parse(text, "comma-separated integers such as 16,32",
+                  lambda t: tuple(int(v) for v in t.split(",")))
 
 
 def _count(noun: str):
-    """The type of a count option: an int of at least 1, so that a bad count
-    stops the command before it writes anything."""
+    """The type of a count option: an int >= 1, checked before any file is written."""
 
     def count(text: str) -> int:
-        value = int(text)
+        value = _parse(text, f"the number of {noun}, an integer >= 1")
         if value < 1:
             raise argparse.ArgumentTypeError(f"the number of {noun} must be >= 1, got {value}")
         return value
@@ -165,7 +174,7 @@ def _count(noun: str):
 
 def _seed(text: str) -> int:
     """The type of --seed: an int in [0, 2**64); the streams take seeds mod 2**64."""
-    value = int(text)
+    value = _parse(text, "an integer in [0, 2**64)")
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"--seed must lie in [0, 2**64), got {value}")
     return value

@@ -10,9 +10,11 @@ threaded shards overlap.
 Cut positions are multiples of ``ROW_ALIGN`` (8) rows.  OpenBLAS computes a
 product in blocks of rows, and for some shapes (a single-column output head,
 a 10-column MLP head) a row's rounding depends on where it sits in its
-block, so a cut inside a block changes the last bits of some rows.  OpenBLAS
-also picks its kernel by problem size, so a shard can round differently from
-one call over all the rows: the cuts must not move with the host.
+block, so a cut inside a block changes the last bits of some rows.  A cut
+on the 8-row grid keeps every row's bits on the SkylakeX and SandyBridge
+kernels, where that was measured, but not on Haswell or Zen.  OpenBLAS also
+picks its kernel by problem size, so a shard can round differently from one
+call over all the rows: the cuts must not move with the host.
 
 numpy's OpenBLAS already spreads each large product over every core, and two
 shards gain nothing while it does.  So while shards run on several threads,
@@ -21,20 +23,21 @@ pin nests (a lock and a depth count) across concurrent callers and the saved
 count is restored when the last one leaves.  When the library's thread
 controls cannot be found, the shards run one after another on the caller.
 
-``read_ahead`` runs an iterator on a thread of its own, a few items ahead of
-its reader, under the same pin, on a core the shards leave idle: the sampler
-draws its noise there while the network runs.
+``read_ahead`` runs an iterator a few items ahead of its reader on a
+one-worker ``ThreadPoolExecutor`` under the same pin, on a core the shards
+leave idle: the sampler's noise thread, ``tabdiffuse-noise_0``.  Leaving
+cancels the calls not yet begun and joins the worker.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
 import glob
 import itertools
 import os
-import queue
 import threading
 
 import numpy as np
@@ -120,7 +123,8 @@ def shard_bounds(denoiser, n_rows: int) -> list[int]:
     every R rows, R the smallest multiple of ``ROW_ALIGN`` whose rows carry
     ``MIN_SHARD_ELEMENTS`` elements of ``denoiser.row_cost``.  The last shard
     takes the rest; a rest under ``ROW_ALIGN`` rows joins the shard before it,
-    as numpy runs a 1-row product through a matrix-vector kernel."""
+    as numpy runs a 1-row product through a matrix-vector kernel.  The cuts
+    keep every row's bits on the SkylakeX and SandyBridge kernels only."""
     rows = ROW_ALIGN * -(-MIN_SHARD_ELEMENTS // (ROW_ALIGN * denoiser.row_cost))
     return [0, *range(rows, n_rows - ROW_ALIGN + 1, rows), n_rows]
 
@@ -170,66 +174,36 @@ def sharded_eval(denoiser, n_rows: int):
         yield functools.partial(evaluate, map_=pool.map)
 
 
-class _Raised:
-    """An exception of ``read_ahead``'s thread, handed to its reader."""
-
-    def __init__(self, error: Exception):
-        self.error = error
-
-
-_END = object()
-
-
 @contextlib.contextmanager
 def read_ahead(items, depth: int, name: str, busy: int):
-    """Yields an iterator over ``items`` that a thread named ``name`` runs up to
-    ``depth`` finished items (and one in hand) ahead of the reader.
+    """Yields an iterator over ``items`` that one worker thread, named
+    ``name`` + ``_0``, runs up to ``depth`` + 1 items ahead of the reader.
 
     The items come in their order, and an error raised by ``items`` reaches
-    the reader when it reads that far.  BLAS stays pinned to one thread for
-    the whole block, so the thread has a core of its own.  On leaving, the
-    thread is stopped and joined before the block's error or result goes on.
-    The reader runs ``items`` itself when the ``busy`` threads it keeps
-    running meanwhile (say, ``shard_threads``) take every core, or when BLAS
-    cannot be pinned: a thread would only contend with them, and its heap
-    arena would keep pages of theirs mapped.
+    the reader, as itself, when it reads that far.  BLAS stays pinned to one
+    thread for the whole block.  On leaving, the calls not yet begun are
+    cancelled and the worker is joined.  The reader runs ``items`` itself
+    when the ``busy`` threads it keeps running meanwhile (say,
+    ``shard_threads``) take every core, or when BLAS cannot be pinned: a
+    thread would only contend with them, and its heap arena would keep pages
+    of theirs mapped.
     """
-    blas = numpy_blas()
+    items, blas = iter(items), numpy_blas()
     if _cores() <= busy or blas is None:
-        yield iter(items)
+        yield items
         return
-    ready = queue.Queue(depth)
-    stop = threading.Event()
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for its import
 
-    def produce():
-        end = _END
-        try:
-            for item in items:
-                ready.put(item)
-                if stop.is_set():
-                    return
-        except Exception as exc:  # raised again by the reader
-            end = _Raised(exc)
-        # after ``stop`` this thread makes at most the one put already under way,
-        # so the one slot the reader frees on leaving is enough
-        if not stop.is_set():
-            ready.put(end)
+    end = object()
+    with blas.pinned(), ThreadPoolExecutor(1, thread_name_prefix=name) as worker:
+        ahead = collections.deque(worker.submit(next, items, end) for _ in range(depth + 1))
 
-    def read():
-        while (item := ready.get()) is not _END:
-            if isinstance(item, _Raised):
-                raise item.error
-            yield item
+        def read():
+            while (item := ahead.popleft().result()) is not end:
+                ahead.append(worker.submit(next, items, end))
+                yield item
 
-    with blas.pinned():
-        thread = threading.Thread(target=produce, name=name, daemon=True)
-        thread.start()
         try:
             yield read()
         finally:
-            stop.set()
-            try:
-                ready.get_nowait()  # unblock a put that waits for room
-            except queue.Empty:
-                pass
-            thread.join()
+            worker.shutdown(cancel_futures=True)

@@ -15,20 +15,20 @@ Several walks (inferences) over tables of one shape run as one stacked
 state: one network evaluation per step serves them all, and each walk draws
 its noise from its own stream in the order it would alone.
 
-The walks' normal draws are made ahead of the loop, on a thread named
-``tabdiffuse-noise`` (``parallel.read_ahead``).  It reads each walk's stream
-in the stream's own order, ``DRAW_CHUNK`` (8) draws at a time, each one
-numpy pass with the bits of the draws made one by one (``Rng.draw_normals``),
-and stacks the walks' draws into one ``(DRAW_CHUNK, K * n, d)`` batch
-(``_walk_noise``); the loop takes the batch's draws in turn and makes no
-``Rng`` call.  Up to ``DRAWS_AHEAD`` (2) batches wait beyond the one the
-loop is taking from, and one more may be in the thread's hands: at most four
-batches, 1.2 MB for three 400 x 4 walks.  Only the thread reads the streams'
-bits, so every byte stays the same.  OpenBLAS is pinned to one thread for
-the whole walk (nesting with the shards' pin), which leaves the second core
-to the draws.  When the shard threads take every core (the 128-row
-transformer on two), or when BLAS cannot be pinned, the loop makes each
-batch itself when it needs it.
+The walks' normal draws are made ahead of the loop by the one worker thread
+of ``parallel.read_ahead``, ``tabdiffuse-noise_0``.  It reads each stream in
+order, ``DRAW_CHUNK`` (8) draws at a time, each one numpy pass with the bits
+of the draws made one by one (``Rng.draw_normals``), and stacks the walks'
+draws into one ``(DRAW_CHUNK, K * n, d)`` batch (``_walk_noise``); the loop
+takes the batch's draws in turn and makes no ``Rng`` call.  Beyond the batch
+in use, ``DRAWS_AHEAD`` + 1 (3) are finished or in the worker's hands: at
+most four batches, 1.2 MB for three 400 x 4 walks.  Only the worker reads the
+streams' bits, so every byte stays the same.  When the walk ends, or an error
+ends it, the batches not yet begun are cancelled and the worker is joined.
+OpenBLAS is pinned to one thread for the whole walk (nesting with the shards'
+pin), which leaves the second core to the draws.  When the shard threads
+take every core (the 128-row transformer on two), or when BLAS cannot be
+pinned, the loop makes each batch itself when it needs it.
 
 When the network was trained on a longer time axis than the sampler runs
 (e.g. 1000 vs 500), the integer step fed to the network is rescaled by
@@ -65,7 +65,7 @@ from .tensor import keep_heap_mapped
 # walk bounded even for an untrained network.
 CLIP_X0 = (-1.0, 2.0)
 
-# draws per walk in one numpy pass, and finished batches waiting beyond the one in use
+# draws per walk in one numpy pass; the noise worker runs DRAWS_AHEAD + 1 batches ahead
 DRAW_CHUNK = 8
 DRAWS_AHEAD = 2
 

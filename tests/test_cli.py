@@ -768,6 +768,27 @@ def test_seeds_outside_0_to_2_to_the_64_exit_2(workdir, tmp_path, capsys, seed, 
     assert (tmp_path / "o.csv").exists() == (rc == 0)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "abc"], "argument --seed: expected an integer in [0, 2**64), got 'abc'"),
+    (["--arch", "unet", "--unet-channels", "a"],
+     "argument --unet-channels: expected comma-separated integers such as 16,32, got 'a'"),
+    (["--arch", "unet", "--unet-channels", "4,,8"],
+     "argument --unet-channels: expected comma-separated integers such as 16,32, got '4,,8'"),
+    (["--checkpoint-every", "x"], "argument --checkpoint-every: expected the number of epochs "
+                                  "between checkpoints, an integer >= 1, got 'x'"),
+], ids=["seed", "unet-channels-letter", "unet-channels-empty-entry", "checkpoint-every"])
+def test_a_malformed_number_names_the_option_and_its_form(workdir, tmp_path, capsys, flags,
+                                                          message):
+    """argparse words a value its type function cannot parse after the
+    function's name; these options say what they take instead, exit 2 and
+    write nothing."""
+    argv = ["train", "--data", str(workdir / "data.csv"), *flags, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "invalid" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def three_features(workdir):
     """A 3-feature table and a checkpoint trained on it without the time tokenizer."""

@@ -4,6 +4,7 @@ same bits on any number of threads, BLAS pin restored."""
 import itertools
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ def test_blas_threads_restored_after_a_shard_raises(monkeypatch, blas):
 
 
 def _noise_threads():
-    return [t for t in threading.enumerate() if t.name == "tabdiffuse-noise"]
+    return [t for t in threading.enumerate() if t.name == "tabdiffuse-noise_0"]
 
 
 def _mlp_walk():
@@ -248,13 +249,14 @@ def test_a_network_error_mid_walk_stops_the_noise_thread(monkeypatch, blas):
     assert blas.get() == 2
 
 
-@pytest.mark.parametrize("method,fail_at,thread", [("draw_normals", 4, "tabdiffuse-noise"),
-                                                   ("draw_normals", 7, "MainThread")])
+@pytest.mark.parametrize("method,fail_at,thread", [("draw_normals", 4, "tabdiffuse-noise_0"),
+                                                   ("draw_normals", 7, "MainThread")],
+                         ids=["draw_normals-4-tabdiffuse-noise", "draw_normals-7-MainThread"])
 def test_a_draw_error_reaches_the_caller_and_stops_the_noise_thread(monkeypatch, blas, method,
                                                                     fail_at, thread):
     """The noise thread makes the draws on two cores, and the loop makes
     them itself on one.  An error on either side ends the walk the same way."""
-    cores = {0, 1} if thread == "tabdiffuse-noise" else {0}
+    cores = {0, 1} if thread == "tabdiffuse-noise_0" else {0}
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: cores)
     den, walks, opts = _mlp_walk()
     original = getattr(Rng, method)
@@ -318,6 +320,31 @@ def test_a_reader_that_leaves_early_stops_the_thread(monkeypatch, blas, leave_af
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in readers)
     assert not errors and read == [list(range(min(leave_after, 8)))] * 4
+    assert not _noise_threads()
+    assert blas.get() == 2
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_the_thread_reads_at_most_depth_plus_one_items_ahead(monkeypatch, blas, depth):
+    """While the reader holds r items, ``items`` has yielded r + depth + 1 and
+    no more: with the sampler's depth of 2, at most four batches of draws are
+    held.  Each count is read after the thread has had time to run further."""
+    monkeypatch.setattr(parallel, "_cores", lambda: 2)
+    yielded = []
+
+    def items():
+        for i in range(20):
+            yielded.append(i)
+            yield i
+
+    with parallel.read_ahead(items(), depth, "tabdiffuse-noise", 1) as ahead:
+        for held in range(6):
+            deadline = time.monotonic() + 10
+            while len(yielded) < held + depth + 1 and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            time.sleep(0.02)
+            assert len(yielded) == held + depth + 1
+            assert next(ahead) == held
     assert not _noise_threads()
     assert blas.get() == 2
 

@@ -371,7 +371,7 @@ def test_read_ahead_walk_is_bitwise_the_serial_loop(monkeypatch, arch, case):
     seen, expected, producing = [], [], []
 
     def record(level, x):
-        producing.append("tabdiffuse-noise" in {t.name for t in threading.enumerate()})
+        producing.append("tabdiffuse-noise_0" in {t.name for t in threading.enumerate()})
         seen.append((level, x.tobytes()))
 
     out = impute(den, walks, opts, on_step=record)
