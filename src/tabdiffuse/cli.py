@@ -337,11 +337,12 @@ def _impute_walks(denoiser, opts, n_rows, walks):
     """The imputations of ``walks``, an iterable of (MaskedTable, seed) pairs
     over ``n_rows``-row tables, in walk order.  ``walks_per_batch`` walks run
     as one stacked sampler state; ``walks`` is read one batch at a time, so
-    only one batch is alive at once."""
-    walks = iter(walks)
+    only one batch is alive at once.  The batches share one FiLM table, so
+    each network time is tokenized once for all of them."""
+    walks, films = iter(walks), {}
     k = walks_per_batch(denoiser, n_rows)
     while batch := list(itertools.islice(walks, k)):
-        yield from impute(denoiser, batch, opts)
+        yield from impute(denoiser, batch, opts, films=films)
 
 
 def cmd_impute(args):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ from .tensor import (Tensor, concat, linear_film_relu, parameter, reglu_film, re
                      transpose)
 
 ARCHITECTURES = ("mlp", "resnet", "transformer", "unet")
+# The FiLM entry (``Denoiser.film``) that forwards on this thread take in place
+# of their tokenizers' output; ``parallel`` sets it around each shard it runs.
+TABLED_FILM: ContextVar[dict | None] = ContextVar("tabled_film", default=None)
 
 
 def _is_real(value) -> bool:
@@ -125,6 +129,13 @@ class Denoiser(Module):
     def forward(self, x, t, training: bool = False, rng: Rng | None = None) -> Tensor:
         raise NotImplementedError
 
+    def film(self, t) -> dict:
+        """The ``TABLED_FILM`` entry of network time ``t`` (a 1-row array): each
+        tokenizer's owner -> the modulation its blocks take (here the MLP blocks'
+        (scale + 1, shift)), with the bits of a forward's own calls and ops."""
+        scale, shift = film_pair(self.tokenizer, t)
+        return {self: (scale + 1.0, shift)}
+
     def __call__(self, x, t, training: bool = False, rng: Rng | None = None) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.config.dtype))
@@ -141,11 +152,15 @@ class Denoiser(Module):
         return out
 
 
+def _tabled(owner: Module):
+    return None if (entry := TABLED_FILM.get()) is None else entry[owner]
+
+
 def film_pair(tokenizer: TimeStepTokenizer, t: np.ndarray) -> tuple[Tensor, Tensor]:
     """Tokenize per-row time steps into a FiLM (scale, shift) pair.
 
-    A batch sharing one time step (the sampler's case) is tokenized once
-    and broadcast, which keeps inference cost independent of batch size.
+    A batch sharing one time step is tokenized once, as one row, and
+    broadcast; the sampler tables these per network time (``Denoiser.film``).
     """
     t = np.atleast_1d(t)
     if t.size > 1 and (t == t[0]).all():
@@ -156,10 +171,10 @@ def film_pair(tokenizer: TimeStepTokenizer, t: np.ndarray) -> tuple[Tensor, Tens
 class TimeStepMLPBlock(Module):
     """Dropout(ReLU(FiLM(Linear(x)))) with the modulation from the tokenizer.
 
-    Linear, FiLM and ReLU are one ``linear_film_relu`` node.  ``scale + 1``
-    stays a node of its own: the gradient shares of the blocks then reach the
-    tokenizer in the order they did when FiLM was composed, so trained
-    weights keep their bits.
+    Linear, FiLM and ReLU are one ``linear_film_relu`` node.  ``scale + 1`` is
+    each block's own node: the blocks' gradient shares then reach the tokenizer
+    in the order they did when FiLM was composed, so trained weights keep their
+    bits.  Under a ``TABLED_FILM`` entry, ``scale`` is already ``scale + 1``.
     """
 
     def __init__(self, in_dim: int, width: int, drop: float, rng: Rng | None):
@@ -168,7 +183,8 @@ class TimeStepMLPBlock(Module):
         self.dropout = Dropout(drop)
 
     def __call__(self, x, scale, shift, training, rng):
-        h = linear_film_relu(x, self.linear.weight, self.linear.bias, scale + 1.0, shift)
+        scale1 = scale if TABLED_FILM.get() is not None else scale + 1.0
+        h = linear_film_relu(x, self.linear.weight, self.linear.bias, scale1, shift)
         return self.dropout(h, training, rng)
 
 
@@ -188,7 +204,7 @@ class MLPDenoiser(Denoiser):
         return self.config.resolved_hidden
 
     def forward(self, x, t, training=False, rng=None):
-        scale, shift = film_pair(self.tokenizer, t)
+        scale, shift = _tabled(self) or film_pair(self.tokenizer, t)
         h = x
         for block in self.blocks:
             h = block(h, scale, shift, training, rng)
@@ -225,7 +241,7 @@ class ResNetDenoiser(Denoiser):
         return self.config.resolved_hidden
 
     def forward(self, x, t, training=False, rng=None):
-        scale, shift = film_pair(self.tokenizer, t)
+        scale, shift = _tabled(self) or film_pair(self.tokenizer, t)
         h = self.stem(x)
         for block in self.blocks:
             h = block(h, scale, shift, training, rng)
@@ -291,9 +307,12 @@ class TransformerDenoiser(Denoiser):
     def row_cost(self) -> int:
         return (self.config.n_features + 1) * self.config.embed_dim  # feature tokens + CLS
 
+    def film(self, t):
+        return {self: film_pair(self.tokenizer, t)}
+
     def forward(self, x, t, training=False, rng=None):
         B, k = x.shape
-        scale, shift = film_pair(self.tokenizer, t)
+        scale, shift = _tabled(self) or film_pair(self.tokenizer, t)
         cls = self.cls + Tensor(np.zeros((B, 1, self.config.embed_dim), dtype=self.cls.data.dtype))
         h = concat([cls, self.feature_tokenizer(x)], axis=1)
         for block in self.blocks:
@@ -319,11 +338,13 @@ class UNetStage(Module):
         self.skip = _Conv1d(in_ch, out_ch, rng, kernel=1) if in_ch != out_ch else None
         self.attn = MultiHeadSelfAttention(out_ch, config.heads, config.attention_dropout, rng)
 
-    def __call__(self, x, t, training, rng):
+    def film(self, t):
         scale, shift = film_pair(self.tokenizer, t)
         c = self.out_ch  # FiLM per channel, broadcast over positions
-        film = (reshape(scale, (-1, c, 1)) + 1.0, reshape(shift, (-1, c, 1)))
-        h = self.gn1(self.conv1(x), film, silu=True)
+        return reshape(scale, (-1, c, 1)) + 1.0, reshape(shift, (-1, c, 1))
+
+    def __call__(self, x, t, training, rng):
+        h = self.gn1(self.conv1(x), _tabled(self) or self.film(t), silu=True)
         h = self.gn2(self.conv2(h), silu=True)
         res = x if self.skip is None else self.skip(x)
         h = h + res
@@ -374,6 +395,9 @@ class UNetDenoiser(Denoiser):
     @property
     def row_cost(self) -> int:
         return self.config.n_features * max(self.config.unet_channels)
+
+    def film(self, t):
+        return {s: s.film(t) for s in (*self.encoders, self.bottleneck, *self.decoders)}
 
     def forward(self, x, t, training=False, rng=None):
         B, k = x.shape

@@ -42,6 +42,7 @@ import threading
 
 import numpy as np
 
+from .denoisers import TABLED_FILM
 from .tensor import no_grad
 
 ROW_ALIGN = 8
@@ -142,16 +143,20 @@ def shard_threads(n_shards: int) -> int:
     return min(_cores(), n_shards) if numpy_blas() is not None else 1
 
 
-def _eval(denoiser, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    with no_grad():
-        return denoiser(x, t).data
+def _eval(denoiser, x: np.ndarray, t: np.ndarray, film) -> np.ndarray:
+    token = TABLED_FILM.set(film)
+    try:
+        with no_grad():
+            return denoiser(x, t).data
+    finally:
+        TABLED_FILM.reset(token)
 
 
 @contextlib.contextmanager
 def sharded_eval(denoiser, n_rows: int):
-    """Yields ``evaluate(x, t)``: the eval-mode output array of
+    """Yields ``evaluate(x, t, film=None)``: the eval-mode output array of
     ``denoiser(x, t)`` for ``n_rows``-row inputs, computed shard by shard at
-    ``shard_bounds``.
+    ``shard_bounds``, each shard with ``film`` as its ``TABLED_FILM`` entry.
 
     On more than one thread, BLAS stays pinned and the worker threads stay up
     for the whole block, so a sampler pays for them once, not once per step.
@@ -159,10 +164,10 @@ def sharded_eval(denoiser, n_rows: int):
     bounds = shard_bounds(denoiser, n_rows)
     threads = shard_threads(len(bounds) - 1)
 
-    def evaluate(x, t, map_=map):
+    def evaluate(x, t, film=None, map_=map):
         if len(x) != n_rows:
             raise ValueError(f"sharded for {n_rows} rows, got {len(x)}")
-        parts = list(map_(lambda a, b: _eval(denoiser, x[a:b], t[a:b]), bounds, bounds[1:]))
+        parts = list(map_(lambda a, b: _eval(denoiser, x[a:b], t[a:b], film), bounds, bounds[1:]))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     if threads == 1:

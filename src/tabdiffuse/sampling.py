@@ -58,7 +58,7 @@ from .schedule import (
     harmonization_plan,
     skip_seq,
 )
-from .tensor import keep_heap_mapped
+from .tensor import keep_heap_mapped, no_grad
 
 
 # Clean-state clamp applied inside every reverse step of ``impute``; keeps the
@@ -237,6 +237,7 @@ def impute(
     walks,
     opts: SamplerOptions,
     on_step=None,
+    films: dict | None = None,
 ) -> list[np.ndarray]:
     """Fill the unknown region of scaled tables; known entries pass through.
 
@@ -249,6 +250,9 @@ def impute(
     shards (``parallel.sharded_eval``) cut by the network and the stacked row
     count alone, never by the number of cores.  The noise is drawn ahead of
     the loop on a thread of its own (``_walk_noise``).
+
+    ``films`` (network time -> ``denoiser.film``) is a FiLM table a caller may share: it
+    gains the plan's missing times on the calling thread, before the walk; shards only read it.
     """
     tables = [table for table, _ in walks]
     if not tables:
@@ -271,6 +275,10 @@ def impute(
     top = plan.ts[0]
     # draws per walk: two for the first state and each denoising step, one per retrace
     n_draws = 2 + sum(2 if b < a else 1 for a, b in plan.pairs())
+    films = {} if films is None else films
+    times = {_denoiser_time(a + 1, sched.T, train_t) for a, b in plan.pairs() if b < a}
+    with no_grad():
+        films.update({time: denoiser.film(np.array([time])) for time in times - films.keys()})
     busy = shard_threads(len(shard_bounds(denoiser, n)) - 1)
     noise = read_ahead(_walk_noise(rngs, shape, n_draws), DRAWS_AHEAD, "tabdiffuse-noise", busy)
     with noise as batches, sharded_eval(denoiser, n) as evaluate:
@@ -284,9 +292,9 @@ def impute(
             if b < a:  # denoising step from level a+1 down to level b+1
                 eps_known = next(draws)
                 step_noise = next(draws)
-                t_math = a + 1
-                eps_hat = evaluate(x, np.full(n, _denoiser_time(t_math, sched.T, train_t)))
-                unknown = impute_ddim_step(sched, x, t_math, b + 1, eps_hat, eta, step_noise,
+                time = _denoiser_time(a + 1, sched.T, train_t)
+                eps_hat = evaluate(x, np.full(n, time), films[time])
+                unknown = impute_ddim_step(sched, x, a + 1, b + 1, eps_hat, eta, step_noise,
                                            clip_x0=CLIP_X0)
                 known = noisy_known(sched, x0, b + 1, eps_known)
                 x = np.where(mask, known, unknown)

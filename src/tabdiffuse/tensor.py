@@ -107,8 +107,10 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
         op: str,
+        checked: bool = False,  # True: the op checked a buffer whose finiteness ``data`` keeps
     ) -> "Tensor":
-        _check_finite(data, op)
+        if not checked:
+            _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -531,7 +533,7 @@ def linear_film_relu(x, weight, bias, scale1, shift) -> Tensor:
                 _unbroadcast(gp * _h, scale1.shape) if scale1.requires_grad else None,
                 _unbroadcast(gp, shift.shape) if shift.requires_grad else None)
 
-    return Tensor._from_op(data, params, backward, "linear_film_relu")
+    return Tensor._from_op(data, params, backward, "linear_film_relu", checked=True)
 
 
 # -- reductions and shape ops ----------------------------------------------------

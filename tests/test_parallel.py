@@ -11,11 +11,12 @@ import pytest
 
 from tabdiffuse import parallel
 from tabdiffuse.checkpoint import save_checkpoint
-from tabdiffuse.cli import main
+from tabdiffuse.cli import _impute_walks, main
 from tabdiffuse.data import MinMaxScaler, write_csv
 from tabdiffuse.denoisers import ARCHITECTURES, DenoiserConfig, build_denoiser
+from tabdiffuse.nn import TimeStepTokenizer
 from tabdiffuse.rng import Rng
-from tabdiffuse.sampling import MaskedTable, SamplerOptions, impute
+from tabdiffuse.sampling import MaskedTable, SamplerOptions, build_plan, impute
 from tabdiffuse.tensor import NumericError, no_grad
 
 CONFIGS = {
@@ -453,3 +454,33 @@ def test_walks_per_batch_stacks_half_a_shard():
             if k > 1:  # the fewest walks that reach half a shard, never more than a shard
                 assert (k - 1) * n_rows * row_cost < half <= k * n_rows * row_cost
                 assert k * n_rows * row_cost <= parallel.MIN_SHARD_ELEMENTS
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_the_film_table_is_filled_once_on_the_calling_thread(monkeypatch, networks, cores):
+    """A set of walks tokenizes each network time once, before the walk and
+    on the caller's thread, whatever the threads that run the shards: a
+    table the shard threads filled as they went would count a time more
+    than once whenever two shards missed it at once."""
+    den, n_rows = networks["transformer"], 48
+    _cut_into(monkeypatch, den, n_rows, 3)
+    monkeypatch.setattr(parallel, "_cores", lambda: cores)
+    assert parallel.shard_threads(3) == (cores if parallel.numpy_blas() else 1)
+    assert parallel.walks_per_batch(den, n_rows) == 1  # so n walks run as n batches
+    threads, tokenize = [], TimeStepTokenizer.__call__
+
+    def recorded(self, t):
+        threads.append(threading.current_thread())
+        return tokenize(self, t)
+
+    monkeypatch.setattr(TimeStepTokenizer, "__call__", recorded)
+    opts = SamplerOptions(t_sampling=500, tau=25, jump_n_sample=2)
+    times = {a + 1 for a, b in build_plan(opts).pairs() if b < a}
+    assert len(times) == 25
+    rng = Rng(7)
+    table = MaskedTable(rng.uniform((n_rows, 10)), rng.uniform((n_rows, 10)) > 0.3)
+    for n_walks in (1, 3):
+        threads.clear()
+        out = list(_impute_walks(den, opts, n_rows, [(table, seed) for seed in range(n_walks)]))
+        assert len(out) == n_walks
+        assert threads == [threading.current_thread()] * len(times)

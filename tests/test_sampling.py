@@ -1,5 +1,6 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,17 +353,21 @@ READ_AHEAD_CASES = {  # (options, walks, rows per walk)
     "tau25-retrace2": (SamplerOptions(t_sampling=500, tau=25, jump_n_sample=2), 1, 13),
     "3-stacked-walks": (SamplerOptions(t_sampling=20, jump_n_sample=2), 3, 13),
     "0-rows": (SamplerOptions(t_sampling=20), 1, 0),
+    "no-time-embedding": (SamplerOptions(t_sampling=500, tau=25, jump_n_sample=2), 1, 13),
+    "reused-table": (SamplerOptions(t_sampling=500, tau=25, jump_n_sample=2), 3, 13),
 }
 
 
 @pytest.mark.parametrize("case", sorted(READ_AHEAD_CASES))
 @pytest.mark.parametrize("arch", sorted(STACKED))
 def test_read_ahead_walk_is_bitwise_the_serial_loop(monkeypatch, arch, case):
-    """Drawing the noise on its own thread, steps ahead, moves no bit of the
-    output or of any state the walk passes through."""
+    """Drawing the noise on its own thread, steps ahead, and taking each
+    step's FiLM from the table made before the walk move no bit of the output
+    or of any state the walk passes through; the serial loop runs the
+    tokenizers in every forward."""
     monkeypatch.setattr(parallel, "_cores", lambda: 2)
     opts, n_walks, n = READ_AHEAD_CASES[case]
-    cfg = STACKED[arch][0]
+    cfg = replace(STACKED[arch][0], time_embedding=case != "no-time-embedding")
     den = build_denoiser(cfg, seed=3)
     rng = Rng(41)
     walks = [(MaskedTable(rng.uniform((n, cfg.n_features)),
@@ -374,10 +379,16 @@ def test_read_ahead_walk_is_bitwise_the_serial_loop(monkeypatch, arch, case):
         producing.append("tabdiffuse-noise_0" in {t.name for t in threading.enumerate()})
         seen.append((level, x.tobytes()))
 
-    out = impute(den, walks, opts, on_step=record)
+    films = {}
+    if case == "reused-table":  # an earlier call fills the table; this one only reads it
+        impute(den, walks[:1], opts, films=films)
+    filled = dict(films)
+    out = impute(den, walks, opts, on_step=record, films=films)
     reference = serial_impute(den, walks, opts,
                               on_step=lambda level, x: expected.append((level, x.tobytes())))
     assert [o.tobytes() for o in out] == [o.tobytes() for o in reference]
+    assert all(films[time] is entry for time, entry in filled.items())
+    assert len(films) == len({a for a, b in build_plan(opts).pairs() if b < a})
     assert seen == expected
     assert len(seen) == len(build_plan(opts))
     # at the first state the thread still has more batches to draw than it may hold

@@ -427,6 +427,18 @@ def test_linear_film_relu_forward_is_bitwise_the_composed_chain(dtype, grad):
         np.testing.assert_array_equal(out.data, _linear_film_relu_ref(x, w, b, scale, shift).data)
 
 
+@pytest.mark.parametrize("grad", [False, True])
+def test_linear_film_relu_checks_its_values_once(monkeypatch, grad):
+    # the pre-ReLU buffer is checked; the ReLU of a finite buffer is finite
+    rng = np.random.default_rng(21)
+    args = [Tensor(rng.normal(size=shape), requires_grad=grad)
+            for shape in ((4, 3), (3, 5), (5,), (1, 5), (1, 5))]
+    checked, check = [], T._check_finite
+    monkeypatch.setattr(T, "_check_finite", lambda arr, op: (checked.append(op), check(arr, op)))
+    T.linear_film_relu(*args)
+    assert checked == ["linear_film_relu"]
+
+
 @pytest.mark.parametrize("arch", ["mlp", "resnet"])
 def test_mlp_block_training_step_matches_the_composed_chain(monkeypatch, arch):
     # every gradient share reaches the tokenizer in the composed chain's order,
